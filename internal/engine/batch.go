@@ -16,7 +16,9 @@ import (
 // Options.BatchExec > 1 and degrades per operator: an operator whose input
 // cannot produce batches adapts it with a scalar pull loop, and operators
 // without a columnar implementation (project, groupBy, orderBy, semiJoin,
-// the parallel exchange cursors) simply stay scalar behind the adapter.
+// exchanges) simply stay scalar behind the adapter. Parallelism composes
+// with batching: a vectorized join's probe input may be an exchange and its
+// build side drains through the same buildSide policy as the scalar join's.
 //
 // The adaptive window is the proven shape from the wire layer's batchWindow:
 // a vectorized cursor consumed through its scalar face pulls its first batch
@@ -455,11 +457,11 @@ func newVecSelect(in Cursor, cond xmas.Cond, capw int) Cursor {
 
 // drainBatch materializes a cursor into one columnar batch, pulling through
 // the batch face when available.
-func drainBatch(c Cursor, chunk int) (Batch, error) {
+func drainBatch(c Cursor) (Batch, error) {
 	bi := &batchInput{in: c}
 	var bb batchBuilder
 	for {
-		b, ok, err := bi.pull(chunk)
+		b, ok, err := bi.pull(drainChunk)
 		if err != nil {
 			return Batch{}, err
 		}
@@ -511,7 +513,7 @@ func mergeGather(schema []xmas.Var, lb Batch, lsel []int, rb Batch, rsel []int) 
 // newVecHashJoin probes the build table a batch of left rows at a time. The
 // build side is drained only once the first probe batch exists — the same
 // empty-left laziness as the scalar path.
-func newVecHashJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var, lv, rv xmas.Var, capw int) Cursor {
+func newVecHashJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, lv, rv xmas.Var, capw int) Cursor {
 	bi := &batchInput{in: left}
 	var rb Batch
 	var table map[string][]int
@@ -524,7 +526,7 @@ func newVecHashJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Va
 				return Batch{}, false, err
 			}
 			if !built {
-				rb, err = drainBatch(right(), drainChunk)
+				rb, err = build.get()
 				if err != nil {
 					return Batch{}, false, err
 				}
@@ -558,14 +560,14 @@ func newVecHashJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Va
 			}
 		}
 	}
-	return newVecCursor(capw, produce, func() { closeCursor(left) })
+	return newVecCursor(capw, produce, func() { closeCursor(left); build.Close() })
 }
 
 // newVecNLJoin evaluates the θ-join condition directly over the probe row
 // and the materialized right columns: the per-pair merged tuple — and, for
 // atom comparisons, the per-pair atom extraction and float parse — exist
 // only for pairs that match.
-func newVecNLJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var, cond *xmas.Cond, capw int) Cursor {
+func newVecNLJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, cond *xmas.Cond, capw int) Cursor {
 	bi := &batchInput{in: left}
 	var rb Batch
 	loaded := false
@@ -581,7 +583,7 @@ func newVecNLJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var,
 				return Batch{}, false, err
 			}
 			if !loaded {
-				rb, err = drainBatch(right(), drainChunk)
+				rb, err = build.get()
 				if err != nil {
 					return Batch{}, false, err
 				}
@@ -647,7 +649,7 @@ func newVecNLJoin(ctx *Ctx, left Cursor, right func() Cursor, schema []xmas.Var,
 			}
 		}
 	}
-	return newVecCursor(capw, produce, func() { closeCursor(left) })
+	return newVecCursor(capw, produce, func() { closeCursor(left); build.Close() })
 }
 
 // newVecCat appends the concatenated-list column to each input batch without

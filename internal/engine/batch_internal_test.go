@@ -96,14 +96,15 @@ func TestVecHashJoinEmptyLeftLaziness(t *testing.T) {
 		return cursorFunc(func() (Tuple, bool, error) { return Tuple{}, false, nil })
 	}
 	out := append(append([]xmas.Var{}, schema...), "$r")
-	cur := newVecHashJoin(nil, empty, right, out, "$l", "$r", 16)
+	seq := newExecState(Options{})
+	cur := newVecHashJoin(empty, newBuildSide(seq, false, right, drainBatch), out, "$l", "$r", 16)
 	if _, ok, err := cur.Next(); ok || err != nil {
 		t.Fatalf("join over empty left = (%v, %v)", ok, err)
 	}
 	if rightOpened {
 		t.Fatal("empty left side opened the build side")
 	}
-	cur2 := newVecNLJoin(nil, cursorFunc(func() (Tuple, bool, error) { return Tuple{}, false, nil }), right, out, nil, 16)
+	cur2 := newVecNLJoin(cursorFunc(func() (Tuple, bool, error) { return Tuple{}, false, nil }), newBuildSide(seq, false, right, drainBatch), out, nil, 16)
 	if _, ok, err := cur2.Next(); ok || err != nil {
 		t.Fatalf("NL join over empty left = (%v, %v)", ok, err)
 	}

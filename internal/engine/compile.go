@@ -607,7 +607,7 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 	cond := o.Cond
 	// Sides that touch sources may run on producer goroutines under
 	// Parallelism > 1 (decided per side at compile time, engaged per
-	// execution at cursor-construction time).
+	// execution when a producer slot is free).
 	lAsync, rAsync := asyncSide(o.L), asyncSide(o.R)
 
 	// Equi-joins on two variables run as hash joins (build right, stream
@@ -620,18 +620,17 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 			lv, rv = rv, lv
 		}
 		return func(ctx *Ctx) Cursor {
-			if ctx.exec.parallel() && (lAsync || rAsync) {
-				return newParHashJoin(ctx, left, right, schema, lv, rv, lAsync, rAsync)
-			}
+			linput := openInput(ctx, left, lAsync)
+			openR := func() Cursor { return right(ctx) }
 			if capw := ctx.batchCap(); capw > 0 {
-				return newVecHashJoin(ctx, left(ctx), func() Cursor { return right(ctx) }, schema, lv, rv, capw)
+				return newVecHashJoin(linput, newBuildSide(ctx.exec, rAsync, openR, drainBatch), schema, lv, rv, capw)
 			}
-			linput := left(ctx)
+			build := newBuildSide(ctx.exec, rAsync, openR, drain)
 			var table map[string][]Tuple
 			var matches []Tuple
 			var matchIdx int
 			var lt Tuple
-			return cursorFunc(func() (Tuple, bool, error) {
+			return closingCursor{func() (Tuple, bool, error) {
 				for {
 					if matchIdx < len(matches) {
 						rt := matches[matchIdx]
@@ -649,7 +648,7 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 					// empty or failed left input must not pay the full
 					// right-source scan.
 					if table == nil {
-						rows, err := drain(right(ctx))
+						rows, err := build.get()
 						if err != nil {
 							return Tuple{}, false, err
 						}
@@ -664,24 +663,23 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 						matches = table[normKey(a)]
 					}
 				}
-			})
+			}, func() { closeCursor(linput); build.Close() }}
 		}, nil
 	}
 
 	return func(ctx *Ctx) Cursor {
-		if ctx.exec.parallel() && (lAsync || rAsync) {
-			return newParNLJoin(ctx, left, right, schema, cond, lAsync, rAsync)
-		}
+		linput := openInput(ctx, left, lAsync)
+		openR := func() Cursor { return right(ctx) }
 		if capw := ctx.batchCap(); capw > 0 {
-			return newVecNLJoin(ctx, left(ctx), func() Cursor { return right(ctx) }, schema, cond, capw)
+			return newVecNLJoin(linput, newBuildSide(ctx.exec, rAsync, openR, drainBatch), schema, cond, capw)
 		}
-		linput := left(ctx)
+		build := newBuildSide(ctx.exec, rAsync, openR, drain)
 		var rrows []Tuple
 		loaded := false
 		var lt Tuple
 		ri := 0
 		haveLeft := false
-		return cursorFunc(func() (Tuple, bool, error) {
+		return closingCursor{func() (Tuple, bool, error) {
 			for {
 				if !haveLeft {
 					t, ok, err := linput.Next()
@@ -695,7 +693,7 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 				// Same laziness as the hash path: materialize the right side
 				// only once a left tuple exists.
 				if !loaded {
-					rows, err := drain(right(ctx))
+					rows, err := build.get()
 					if err != nil {
 						return Tuple{}, false, err
 					}
@@ -712,7 +710,7 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 				}
 				haveLeft = false
 			}
-		})
+		}, func() { closeCursor(linput); build.Close() }}
 	}, nil
 }
 
@@ -727,20 +725,16 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 	}
 	keepLeft := o.Keep == xmas.KeepLeft
 	cond := o.Cond
-	var keepSide, otherSide compiledOp
-	if keepLeft {
-		keepSide, otherSide = left, right
-	} else {
+	keepSide, otherSide := left, right
+	keepOp, otherOp := o.L, o.R
+	if !keepLeft {
 		keepSide, otherSide = right, left
+		keepOp, otherOp = o.R, o.L
 	}
 	var keepVar, otherVar xmas.Var
 	hashable := false
 	if cond != nil && cond.Op == xtree.OpEQ && !cond.Left.IsConst && !cond.Right.IsConst {
-		keepSchema := o.L.Schema()
-		if !keepLeft {
-			keepSchema = o.R.Schema()
-		}
-		if xmas.HasVar(keepSchema, cond.Left.V) {
+		if xmas.HasVar(keepOp.Schema(), cond.Left.V) {
 			keepVar, otherVar = cond.Left.V, cond.Right.V
 		} else {
 			keepVar, otherVar = cond.Right.V, cond.Left.V
@@ -748,45 +742,38 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 		hashable = true
 	}
 	outSchema := o.Schema()
-	keepOp, otherOp := o.L, o.R
-	if !keepLeft {
-		keepOp, otherOp = o.R, o.L
-	}
 	keepAsync, otherAsync := asyncSide(keepOp), asyncSide(otherOp)
 	return func(ctx *Ctx) Cursor {
-		if ctx.exec.parallel() && (keepAsync || otherAsync) {
-			return newParSemiJoin(ctx, keepSide, otherSide, &parSemiJoin{
-				outSchema: outSchema, cond: cond, keepLeft: keepLeft,
-				hashable: hashable, keepVar: keepVar, otherVar: otherVar,
-			}, keepAsync, otherAsync)
-		}
-		input := keepSide(ctx)
+		input := openInput(ctx, keepSide, keepAsync)
+		build := newBuildSide(ctx.exec, otherAsync, func() Cursor { return otherSide(ctx) }, drain)
 		var keys map[string]bool
 		var others []Tuple
 		loaded := false
 		seen := map[string]bool{}
-		return cursorFunc(func() (Tuple, bool, error) {
-			if !loaded {
-				rows, err := drain(otherSide(ctx))
-				if err != nil {
-					return Tuple{}, false, err
-				}
-				if hashable {
-					keys = map[string]bool{}
-					for _, rt := range rows {
-						if a, ok := cmpKeyOf(rt.MustGet(otherVar)); ok {
-							keys[normKey(a)] = true
-						}
-					}
-				} else {
-					others = rows
-				}
-				loaded = true
-			}
+		return closingCursor{func() (Tuple, bool, error) {
 			for {
 				t, ok, err := input.Next()
 				if err != nil || !ok {
 					return Tuple{}, false, err
+				}
+				// Like the joins, drain the filtering side only once a kept
+				// tuple exists: an empty kept input never opens it.
+				if !loaded {
+					rows, err := build.get()
+					if err != nil {
+						return Tuple{}, false, err
+					}
+					if hashable {
+						keys = map[string]bool{}
+						for _, rt := range rows {
+							if a, ok := cmpKeyOf(rt.MustGet(otherVar)); ok {
+								keys[normKey(a)] = true
+							}
+						}
+					} else {
+						others = rows
+					}
+					loaded = true
 				}
 				match := false
 				if hashable {
@@ -817,7 +804,7 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 				seen[k] = true
 				return t, true, nil
 			}
-		})
+		}, func() { closeCursor(input); build.Close() }}
 	}, nil
 }
 
@@ -914,14 +901,9 @@ func compileCat(o *xmas.Cat, cat *source.Catalog) (compiledOp, error) {
 	schema := o.Schema()
 	async := asyncSide(o.In)
 	return func(ctx *Ctx) Cursor {
-		var input Cursor
-		if ctx.exec.parallel() && async {
-			// cat itself is cheap; exchanging its input pipelines the
-			// upstream source scan with downstream consumption.
-			input = startExchange(ctx.exec, func() Cursor { return in(ctx) })
-		} else {
-			input = in(ctx)
-		}
+		// cat itself is cheap; exchanging its input pipelines the upstream
+		// source scan with downstream consumption.
+		input := openInput(ctx, in, async)
 		if capw := ctx.batchCap(); capw > 0 {
 			return newVecCat(input, o, schema, capw)
 		}

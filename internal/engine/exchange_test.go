@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"mix/internal/source"
 	"mix/internal/testleak"
 	"mix/internal/xmas"
+	"mix/internal/xtree"
 )
 
 // testTuples builds n single-variable tuples over leaf elements v0..v(n-1).
@@ -179,20 +181,35 @@ func TestExchangeNoSlotFallsBackSynchronous(t *testing.T) {
 	closeCursor(first)
 }
 
+// TestDrainHandleCancel closes a build side mid-drain from another
+// goroutine: the producer must stop, close its cursor, release its slot, and
+// the blocked get must report errExecClosed.
 func TestDrainHandleCancel(t *testing.T) {
 	defer testleak.Check(t)()
 	ex := parExec(2, 2)
 	_, tuples := testTuples(1000)
 	src := &blockingCursor{tuples: tuples, delay: time.Millisecond}
-	h := startDrain(ex, func() Cursor { return src })
-	time.Sleep(5 * time.Millisecond)
-	h.cancel()
-	h.cancel() // idempotent
+	opened := make(chan struct{})
+	h := newBuildSide(ex, true, func() Cursor { close(opened); return src }, drain)
+	got := make(chan error, 1)
+	go func() {
+		rows, err := h.get()
+		if err == nil {
+			err = fmt.Errorf("drain finished with %d rows before the cancel", len(rows))
+		}
+		got <- err
+	}()
+	<-opened // the producer owns the cursor now
+	h.Close()
+	h.Close() // idempotent
 	if _, closed := src.snapshot(); !closed {
 		t.Fatal("inner cursor not closed after drain cancel")
 	}
-	if rows, err := h.wait(); !errors.Is(err, errExecClosed) {
-		t.Fatalf("wait after cancel: rows=%d err=%v, want errExecClosed", len(rows), err)
+	if err := <-got; !errors.Is(err, errExecClosed) {
+		t.Fatalf("get across cancel: %v, want errExecClosed", err)
+	}
+	if _, err := h.get(); !errors.Is(err, errExecClosed) {
+		t.Fatalf("get after cancel: %v, want errExecClosed", err)
 	}
 	if !ex.tryAcquire() {
 		t.Fatal("producer slot not released after cancel")
@@ -244,5 +261,104 @@ func TestExchangeConcurrentNextCloseStress(t *testing.T) {
 		}()
 		wg.Wait()
 		ex.closeAll()
+	}
+}
+
+// gatedDoc is a source whose n-th row (1-based) first runs gate(n): the
+// overlap probe that orders pulls across two sources without sleeps.
+type gatedDoc struct {
+	id   string
+	keys []string
+	gate func(n int) error
+}
+
+func (d *gatedDoc) RootID() string { return d.id }
+
+func (d *gatedDoc) Open() (source.ElemCursor, error) { return &gatedCursor{d: d}, nil }
+
+type gatedCursor struct {
+	d *gatedDoc
+	n int
+}
+
+func (c *gatedCursor) Next() (*xtree.Node, bool, error) {
+	if c.n >= len(c.d.keys) {
+		return nil, false, nil
+	}
+	c.n++
+	if err := c.d.gate(c.n); err != nil {
+		return nil, false, err
+	}
+	id := xtree.ID(fmt.Sprintf("%s.%d", c.d.id, c.n))
+	return xtree.NewElem(id, "k", xtree.NewLeaf(id+"v", c.d.keys[c.n-1])), true, nil
+}
+
+func (c *gatedCursor) Close() {}
+
+// TestParallelVectorizedJoinOverlap runs a two-source hash join and an NL
+// join at Parallelism 3 with BatchExec 64: both must be vectorized cursors,
+// and the build side must drain while the probe side is being pulled. The
+// probe's second pull waits for the build's first row, and the build's
+// second row waits for the probe's second pull; a join that drains its build
+// side only between probe pulls times out on one of those waits.
+func TestParallelVectorizedJoinOverlap(t *testing.T) {
+	defer testleak.Check(t)()
+	keys := []string{"k1", "k2", "k3", "k4"}
+	for _, op := range []xtree.CmpOp{xtree.OpEQ, xtree.OpLE} {
+		buildRow1, probePull2 := make(chan struct{}), make(chan struct{})
+		wait := func(ch chan struct{}, what string) error {
+			select {
+			case <-ch:
+				return nil
+			case <-time.After(5 * time.Second):
+				return fmt.Errorf("no overlap: timed out waiting for %s", what)
+			}
+		}
+		cat := source.NewCatalog()
+		cat.AddDoc("&p", &gatedDoc{id: "&p", keys: keys, gate: func(n int) error {
+			if n == 2 {
+				if err := wait(buildRow1, "the build side's first row"); err != nil {
+					return err
+				}
+				close(probePull2)
+			}
+			return nil
+		}})
+		cat.AddDoc("&b", &gatedDoc{id: "&b", keys: keys, gate: func(n int) error {
+			switch n {
+			case 1:
+				close(buildRow1)
+			case 2:
+				return wait(probePull2, "the probe side's second pull")
+			}
+			return nil
+		}})
+		cond := xmas.NewVarVarCond("$P", op, "$B")
+		join, err := compile(&xmas.Join{
+			L:    &xmas.MkSrc{SrcID: "&p", Out: "$P"},
+			R:    &xmas.MkSrc{SrcID: "&b", Out: "$B"},
+			Cond: &cond,
+		}, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Parallelism: 3, BatchExec: 64}
+		ctx := &Ctx{cat: cat, opts: opts, exec: newExecState(opts)}
+		defer ctx.exec.closeAll()
+		cur := join(ctx)
+		if _, ok := cur.(BatchCursor); !ok {
+			t.Fatalf("%s join at Parallelism 3, BatchExec 64 runs as %T, want a BatchCursor", op, cur)
+		}
+		rows, err := drain(cur)
+		if err != nil {
+			t.Fatalf("%s join: %v", op, err)
+		}
+		want := len(keys)
+		if op == xtree.OpLE {
+			want = len(keys) * (len(keys) + 1) / 2
+		}
+		if len(rows) != want {
+			t.Fatalf("%s join produced %d rows, want %d", op, len(rows), want)
+		}
 	}
 }

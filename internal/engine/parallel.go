@@ -6,15 +6,18 @@ import (
 	"mix/internal/xmas"
 )
 
-// Parallel operator variants: when an execution runs with Parallelism > 1,
-// compileJoin/compileSemiJoin/compileCat instantiate these instead of the
-// sequential closures. The probe input streams through an exchange while the
-// build side drains on its own goroutine — kicked off only once the first
-// probe tuple exists, preserving the sequential path's empty-left laziness —
-// so a join over two federated sources pays max() of their latencies
-// instead of their sum. Output order is exactly the sequential order
-// (probe-side order, build rows in drain order), so results stay
-// byte-identical at every parallelism level.
+// Intra-query parallelism is a policy for how a join's inputs are opened,
+// not a separate operator set. The scalar and vectorized joins, the
+// semi-join and cat open a source-touching probe or kept input through
+// openInput (an exchange when a producer slot is free) and take their build
+// or filtering input from a buildSide (drained on a producer when a slot is
+// free). Both fall back to inline evaluation when no slot is free, so
+// Parallelism <= 1 runs exactly the sequential code. The build starts at the
+// first probe row, which keeps the empty-probe laziness of demand-driven
+// evaluation; output order is the sequential order (probe order, build rows
+// in drain order), so answers are byte-identical at every parallelism level.
+// A join over two federated sources thus pays max() of their latencies
+// instead of their sum, with either execution path.
 
 // asyncSide reports whether a join input is worth running on a producer
 // goroutine: it must actually touch a source (otherwise there is no latency
@@ -24,295 +27,121 @@ func asyncSide(op xmas.Op) bool {
 	return xmas.TouchesSource(op) && !xmas.ReadsPartition(op)
 }
 
-// parBuild is the shared build-side machinery: a lazily kicked, cancellable
-// drain. The mutex only mediates the rare race between the consumer kicking
-// the build and an early Close from another goroutine.
-type parBuild struct {
-	buildFn func() *drainHandle
-
-	mu     sync.Mutex
-	handle *drainHandle
-	closed bool
+// openInput opens a join's probe (or a semi-join's kept, or cat's) input:
+// through an exchange when the side is async, so it starts prefetching at
+// cursor construction; inline otherwise.
+func openInput(ctx *Ctx, op compiledOp, async bool) Cursor {
+	if async {
+		return startExchange(ctx.exec, func() Cursor { return op(ctx) })
+	}
+	return op(ctx)
 }
 
-func newParBuild(ex *execState, async bool, open func() Cursor) *parBuild {
-	return &parBuild{buildFn: func() *drainHandle {
-		if async {
-			return startDrain(ex, open)
-		}
-		return inlineDrain(open)
-	}}
+// buildSide is a join's build (or a semi-join's filtering) input, drained at
+// most once. The first get opens and drains it — on a producer goroutine
+// when the side is async and a slot is free, inline on the caller otherwise
+// — and blocks until the drain is done. drain fixes the materialized form:
+// tuples for the scalar joins, one columnar batch for the vectorized ones.
+// Close may race with get: it cancels an in-flight drain and joins it, and
+// is idempotent.
+type buildSide[T any] struct {
+	ex    *execState
+	async bool
+	open  func() Cursor
+	drain func(Cursor) (T, error)
+
+	mu      sync.Mutex
+	started bool
+	closed  bool
+	stop    chan struct{} // non-nil once a producer runs the drain
+	done    chan struct{}
+
+	val T
+	err error
 }
 
-// rows kicks the build on first call and blocks until it completes.
-func (b *parBuild) rows() ([]Tuple, error) {
+func newBuildSide[T any](ex *execState, async bool, open func() Cursor, drain func(Cursor) (T, error)) *buildSide[T] {
+	return &buildSide[T]{ex: ex, async: async, open: open, drain: drain}
+}
+
+// get starts the drain on first call and returns its result.
+func (b *buildSide[T]) get() (T, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, errExecClosed
+		var zero T
+		return zero, errExecClosed
 	}
-	if b.handle == nil {
-		b.handle = b.buildFn()
+	if b.started {
+		done := b.done
+		b.mu.Unlock()
+		if done != nil {
+			<-done
+		}
+		return b.val, b.err
 	}
-	h := b.handle
+	b.started = true
+	if !b.async || !b.ex.tryAcquire() {
+		b.mu.Unlock()
+		b.val, b.err = b.drain(b.open())
+		return b.val, b.err
+	}
+	b.stop, b.done = make(chan struct{}), make(chan struct{})
+	done := b.done
+	go func() {
+		defer close(done)
+		defer b.ex.release()
+		cur := b.open()
+		defer closeCursor(cur)
+		b.val, b.err = b.drain(&stopCursor{in: batchInput{in: cur}, stop: b.stop})
+	}()
 	b.mu.Unlock()
-	return h.wait()
+	b.ex.track(b)
+	<-done
+	return b.val, b.err
 }
 
-// close cancels an in-flight build and joins it; idempotent.
-func (b *parBuild) close() {
+// Close cancels an in-flight drain and joins its producer.
+func (b *buildSide[T]) Close() {
 	b.mu.Lock()
+	if !b.closed && b.stop != nil {
+		close(b.stop)
+	}
 	b.closed = true
-	h := b.handle
+	done := b.done
 	b.mu.Unlock()
-	if h != nil {
-		h.cancel()
+	if done != nil {
+		<-done
 	}
 }
 
-// parHashJoin is the parallel hash equi-join.
-type parHashJoin struct {
-	schema []xmas.Var
-	lv, rv xmas.Var
-
-	left  Cursor
-	build *parBuild
-
-	table    map[string][]Tuple
-	matches  []Tuple
-	matchIdx int
-	lt       Tuple
-	done     bool
+// stopCursor ends a producer-side drain with errExecClosed once stop is
+// closed. Cancellation is observed between pulls on either cursor face, so
+// Close joins within one source pull (or one drain chunk) of latency.
+type stopCursor struct {
+	in   batchInput
+	stop <-chan struct{}
 }
 
-func newParHashJoin(ctx *Ctx, left, right compiledOp, schema []xmas.Var, lv, rv xmas.Var, lAsync, rAsync bool) Cursor {
-	j := &parHashJoin{schema: schema, lv: lv, rv: rv}
-	if lAsync {
-		j.left = startExchange(ctx.exec, func() Cursor { return left(ctx) })
-	} else {
-		j.left = left(ctx)
-	}
-	j.build = newParBuild(ctx.exec, rAsync, func() Cursor { return right(ctx) })
-	ctx.exec.track(j)
-	return j
-}
-
-func (j *parHashJoin) Next() (Tuple, bool, error) {
-	if j.done {
-		return Tuple{}, false, nil
-	}
-	for {
-		if j.matchIdx < len(j.matches) {
-			rt := j.matches[j.matchIdx]
-			j.matchIdx++
-			return j.lt.Merge(j.schema, rt), true, nil
-		}
-		t, ok, err := j.left.Next()
-		if err != nil || !ok {
-			j.done = true
-			j.Close()
-			return Tuple{}, false, err
-		}
-		j.lt = t
-		j.matches = nil
-		j.matchIdx = 0
-		// As in the sequential path, the build side starts only once a probe
-		// tuple exists: an empty or failed left input never pays the right
-		// scan. The probe side's exchange keeps prefetching while we wait.
-		if j.table == nil {
-			rows, err := j.build.rows()
-			if err != nil {
-				j.done = true
-				j.Close()
-				return Tuple{}, false, err
-			}
-			j.table = map[string][]Tuple{}
-			for _, rt := range rows {
-				if a, ok := cmpKeyOf(rt.MustGet(j.rv)); ok {
-					j.table[normKey(a)] = append(j.table[normKey(a)], rt)
-				}
-			}
-		}
-		if a, ok := cmpKeyOf(j.lt.MustGet(j.lv)); ok {
-			j.matches = j.table[normKey(a)]
-		}
+func (s *stopCursor) stopped() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
 	}
 }
 
-// Close cancels and joins both sides' producer goroutines; idempotent.
-func (j *parHashJoin) Close() {
-	closeCursor(j.left)
-	j.build.close()
-}
-
-// parNLJoin is the parallel nested-loop join (non-equi conditions).
-type parNLJoin struct {
-	schema []xmas.Var
-	cond   *xmas.Cond
-
-	left  Cursor
-	build *parBuild
-
-	rrows    []Tuple
-	loaded   bool
-	lt       Tuple
-	ri       int
-	haveLeft bool
-	done     bool
-}
-
-func newParNLJoin(ctx *Ctx, left, right compiledOp, schema []xmas.Var, cond *xmas.Cond, lAsync, rAsync bool) Cursor {
-	j := &parNLJoin{schema: schema, cond: cond}
-	if lAsync {
-		j.left = startExchange(ctx.exec, func() Cursor { return left(ctx) })
-	} else {
-		j.left = left(ctx)
+func (s *stopCursor) Next() (Tuple, bool, error) {
+	if s.stopped() {
+		return Tuple{}, false, errExecClosed
 	}
-	j.build = newParBuild(ctx.exec, rAsync, func() Cursor { return right(ctx) })
-	ctx.exec.track(j)
-	return j
+	return s.in.in.Next()
 }
 
-func (j *parNLJoin) Next() (Tuple, bool, error) {
-	if j.done {
-		return Tuple{}, false, nil
+func (s *stopCursor) NextBatch(max int) (Batch, bool, error) {
+	if s.stopped() {
+		return Batch{}, false, errExecClosed
 	}
-	for {
-		if !j.haveLeft {
-			t, ok, err := j.left.Next()
-			if err != nil || !ok {
-				j.done = true
-				j.Close()
-				return Tuple{}, false, err
-			}
-			j.lt = t
-			j.ri = 0
-			j.haveLeft = true
-		}
-		if !j.loaded {
-			rows, err := j.build.rows()
-			if err != nil {
-				j.done = true
-				j.Close()
-				return Tuple{}, false, err
-			}
-			j.rrows = rows
-			j.loaded = true
-		}
-		for j.ri < len(j.rrows) {
-			rt := j.rrows[j.ri]
-			j.ri++
-			merged := j.lt.Merge(j.schema, rt)
-			if j.cond == nil || evalCond(*j.cond, merged) {
-				return merged, true, nil
-			}
-		}
-		j.haveLeft = false
-	}
-}
-
-func (j *parNLJoin) Close() {
-	closeCursor(j.left)
-	j.build.close()
-}
-
-// parSemiJoin is the parallel semi-/anti-join: the kept side streams
-// through an exchange while the filtering side drains concurrently.
-type parSemiJoin struct {
-	outSchema []xmas.Var
-	cond      *xmas.Cond
-	keepLeft  bool
-	hashable  bool
-	keepVar   xmas.Var
-	otherVar  xmas.Var
-
-	input Cursor
-	build *parBuild
-
-	keys   map[string]bool
-	others []Tuple
-	loaded bool
-	seen   map[string]bool
-	done   bool
-}
-
-func newParSemiJoin(ctx *Ctx, keepSide, otherSide compiledOp, p *parSemiJoin, keepAsync, otherAsync bool) Cursor {
-	if keepAsync {
-		p.input = startExchange(ctx.exec, func() Cursor { return keepSide(ctx) })
-	} else {
-		p.input = keepSide(ctx)
-	}
-	p.build = newParBuild(ctx.exec, otherAsync, func() Cursor { return otherSide(ctx) })
-	p.seen = map[string]bool{}
-	ctx.exec.track(p)
-	return p
-}
-
-func (s *parSemiJoin) Next() (Tuple, bool, error) {
-	if s.done {
-		return Tuple{}, false, nil
-	}
-	if !s.loaded {
-		// The sequential path drains the filtering side before the first
-		// kept tuple; here the drain overlaps the kept side's exchange,
-		// which has been prefetching since instantiation.
-		rows, err := s.build.rows()
-		if err != nil {
-			s.done = true
-			s.Close()
-			return Tuple{}, false, err
-		}
-		if s.hashable {
-			s.keys = map[string]bool{}
-			for _, rt := range rows {
-				if a, ok := cmpKeyOf(rt.MustGet(s.otherVar)); ok {
-					s.keys[normKey(a)] = true
-				}
-			}
-		} else {
-			s.others = rows
-		}
-		s.loaded = true
-	}
-	for {
-		t, ok, err := s.input.Next()
-		if err != nil || !ok {
-			s.done = true
-			s.Close()
-			return Tuple{}, false, err
-		}
-		match := false
-		if s.hashable {
-			if a, ok := cmpKeyOf(t.MustGet(s.keepVar)); ok && s.keys[normKey(a)] {
-				match = true
-			}
-		} else {
-			for _, rt := range s.others {
-				var merged Tuple
-				if s.keepLeft {
-					merged = t.Merge(append(append([]xmas.Var{}, t.Schema()...), rt.Schema()...), rt)
-				} else {
-					merged = rt.Merge(append(append([]xmas.Var{}, rt.Schema()...), t.Schema()...), t)
-				}
-				if s.cond == nil || evalCond(*s.cond, merged) {
-					match = true
-					break
-				}
-			}
-		}
-		if !match {
-			continue
-		}
-		k := t.Key(s.outSchema)
-		if s.seen[k] {
-			continue
-		}
-		s.seen[k] = true
-		return t, true, nil
-	}
-}
-
-func (s *parSemiJoin) Close() {
-	closeCursor(s.input)
-	s.build.close()
+	return s.in.pull(max)
 }

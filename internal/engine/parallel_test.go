@@ -9,6 +9,7 @@ import (
 	"mix/internal/testleak"
 	"mix/internal/translate"
 	"mix/internal/workload"
+	"mix/internal/xmas"
 	"mix/internal/xmlio"
 	"mix/internal/xquery"
 	"mix/internal/xtree"
@@ -21,9 +22,14 @@ import (
 
 var parLevels = []int{0, 1, 2, 3, 8}
 
-func materializeAt(t *testing.T, plan *translate.Result, cat *source.Catalog, parallelism int) string {
+// batchLevels runs each parallel check on the scalar and the vectorized
+// path: parallelism is a policy for how join inputs drain, so it must hold
+// on both.
+var batchLevels = []int{1, 64}
+
+func materializeAt(t *testing.T, plan *translate.Result, cat *source.Catalog, opts engine.Options) string {
 	t.Helper()
-	prog, err := engine.CompileWith(plan.Plan, cat, engine.Options{Parallelism: parallelism})
+	prog, err := engine.CompileWith(plan.Plan, cat, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +48,19 @@ func TestParallelFigure7Identical(t *testing.T) {
 	defer testleak.Check(t)()
 	cat, _ := workload.PaperCatalog()
 	tr := translate.MustTranslate(xquery.MustParse(workload.Q1), "rootv")
-	want := materializeAt(t, tr, cat, 0)
-	for _, p := range parLevels[1:] {
-		if got := materializeAt(t, tr, cat, p); got != want {
-			t.Fatalf("parallelism %d diverged:\n--- got ---\n%s\n--- want ---\n%s", p, got, want)
+	checkIdenticalAtLevels(t, tr, cat)
+}
+
+// checkIdenticalAtLevels compares every parallelism level against the
+// sequential run at the same batch window.
+func checkIdenticalAtLevels(t *testing.T, tr *translate.Result, cat *source.Catalog) {
+	t.Helper()
+	for _, b := range batchLevels {
+		want := materializeAt(t, tr, cat, engine.Options{BatchExec: b})
+		for _, p := range parLevels[1:] {
+			if got := materializeAt(t, tr, cat, engine.Options{Parallelism: p, BatchExec: b}); got != want {
+				t.Fatalf("batch %d parallelism %d diverged:\n--- got ---\n%s\n--- want ---\n%s", b, p, got, want)
+			}
 		}
 	}
 }
@@ -79,12 +94,7 @@ func TestParallelJoinIdentical(t *testing.T) {
 	defer testleak.Check(t)()
 	cat := twoSourceCatalog(t, 40, 30)
 	tr := translate.MustTranslate(xquery.MustParse(joinQuery), "result")
-	want := materializeAt(t, tr, cat, 0)
-	for _, p := range parLevels[1:] {
-		if got := materializeAt(t, tr, cat, p); got != want {
-			t.Fatalf("parallelism %d diverged:\n--- got ---\n%s\n--- want ---\n%s", p, got, want)
-		}
-	}
+	checkIdenticalAtLevels(t, tr, cat)
 }
 
 // TestParallelMetricsIdentical asserts the per-operator tuple counts are the
@@ -94,8 +104,8 @@ func TestParallelMetricsIdentical(t *testing.T) {
 	defer testleak.Check(t)()
 	cat, _ := workload.PaperCatalog()
 	tr := translate.MustTranslate(xquery.MustParse(workload.Q1), "rootv")
-	counts := func(p int) string {
-		prog, err := engine.CompileWith(tr.Plan, cat, engine.Options{Parallelism: p})
+	counts := func(p, b int) string {
+		prog, err := engine.CompileWith(tr.Plan, cat, engine.Options{Parallelism: p, BatchExec: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,10 +117,12 @@ func TestParallelMetricsIdentical(t *testing.T) {
 		}
 		return m.String()
 	}
-	want := counts(0)
-	for _, p := range parLevels[1:] {
-		if got := counts(p); got != want {
-			t.Fatalf("parallelism %d metrics diverged: got %s, want %s", p, got, want)
+	for _, b := range batchLevels {
+		want := counts(0, b)
+		for _, p := range parLevels[1:] {
+			if got := counts(p, b); got != want {
+				t.Fatalf("batch %d parallelism %d metrics diverged: got %s, want %s", b, p, got, want)
+			}
 		}
 	}
 }
@@ -130,42 +142,63 @@ func (d *countingDoc) Open() (source.ElemCursor, error) {
 // TestParallelEmptyLeftLaziness reproduces PR 2's empty-left guarantee under
 // parallelism: a join whose probe side is empty never opens the build side,
 // because the build drain is kicked only once a first probe tuple exists.
+// A semi-join whose kept side is empty likewise never opens its filtering
+// side.
 func TestParallelEmptyLeftLaziness(t *testing.T) {
 	defer testleak.Check(t)()
-	for _, p := range []int{1, 4} {
-		cat := source.NewCatalog()
-		emptyRoot, err := xmlio.ParseWith("<doc></doc>", xmlio.Options{IDPrefix: "a"})
-		if err != nil {
-			t.Fatal(err)
+	cond := xmas.NewVarVarCond("$KA", xtree.OpEQ, "$KB")
+	keys := func(src string, doc, item, key xmas.Var) xmas.Op {
+		return &xmas.GetD{
+			In:   &xmas.GetD{In: &xmas.MkSrc{SrcID: src, Out: doc}, From: doc, Path: xmas.ParsePath("item"), Out: item},
+			From: item, Path: xmas.ParsePath("item.k"), Out: key,
 		}
-		emptyRoot.ID = "&a"
-		cat.AddXMLDoc("&a", emptyRoot)
+	}
+	plans := map[string]xmas.Op{
+		"join": translate.MustTranslate(xquery.MustParse(joinQuery), "result").Plan,
+		"semijoin": &xmas.TD{In: &xmas.SemiJoin{
+			L:    keys("&a", "$DA", "$IA", "$KA"),
+			R:    keys("&b", "$DB", "$IB", "$KB"),
+			Cond: &cond,
+			Keep: xmas.KeepLeft,
+		}, V: "$IA"},
+	}
+	for name, plan := range plans {
+		for _, b := range batchLevels {
+			for _, p := range []int{1, 4} {
+				cat := source.NewCatalog()
+				emptyRoot, err := xmlio.ParseWith("<doc></doc>", xmlio.Options{IDPrefix: "a"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				emptyRoot.ID = "&a"
+				cat.AddXMLDoc("&a", emptyRoot)
 
-		bRoot, err := xmlio.ParseWith("<doc><item><k>k0</k><v>b0</v></item></doc>", xmlio.Options{IDPrefix: "b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bRoot.ID = "&b"
-		cat.AddXMLDoc("&b", bRoot)
-		inner, err := cat.Resolve("&b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		counting := &countingDoc{inner: inner}
-		cat.AddDoc("&b", counting)
+				bRoot, err := xmlio.ParseWith("<doc><item><k>k0</k><v>b0</v></item></doc>", xmlio.Options{IDPrefix: "b"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bRoot.ID = "&b"
+				cat.AddXMLDoc("&b", bRoot)
+				inner, err := cat.Resolve("&b")
+				if err != nil {
+					t.Fatal(err)
+				}
+				counting := &countingDoc{inner: inner}
+				cat.AddDoc("&b", counting)
 
-		tr := translate.MustTranslate(xquery.MustParse(joinQuery), "result")
-		prog, err := engine.CompileWith(tr.Plan, cat, engine.Options{Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := prog.Run()
-		if n := res.Materialize().String(); res.Err() != nil {
-			t.Fatalf("parallelism %d: %v (%s)", p, res.Err(), n)
-		}
-		res.Close()
-		if counting.opens != 0 {
-			t.Fatalf("parallelism %d: empty probe side still opened the build side %d times", p, counting.opens)
+				prog, err := engine.CompileWith(plan, cat, engine.Options{Parallelism: p, BatchExec: b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := prog.Run()
+				if n := res.Materialize().String(); res.Err() != nil {
+					t.Fatalf("%s batch %d parallelism %d: %v (%s)", name, b, p, res.Err(), n)
+				}
+				res.Close()
+				if counting.opens != 0 {
+					t.Fatalf("%s batch %d parallelism %d: empty probe side still opened the build side %d times", name, b, p, counting.opens)
+				}
+			}
 		}
 	}
 }
@@ -177,14 +210,16 @@ func TestParallelEarlyClose(t *testing.T) {
 	defer testleak.Check(t)()
 	cat := twoSourceCatalog(t, 200, 150)
 	tr := translate.MustTranslate(xquery.MustParse(joinQuery), "result")
-	prog, err := engine.CompileWith(tr.Plan, cat, engine.Options{Parallelism: 8, ExchangeBuffer: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range batchLevels {
+		prog, err := engine.CompileWith(tr.Plan, cat, engine.Options{Parallelism: 8, ExchangeBuffer: 4, BatchExec: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := prog.Run()
+		if _, ok := res.Root.Kids().Get(0); !ok {
+			t.Fatalf("batch %d: no first result tuple", b)
+		}
+		res.Close()
+		res.Close() // idempotent
 	}
-	res := prog.Run()
-	if _, ok := res.Root.Kids().Get(0); !ok {
-		t.Fatal("no first result tuple")
-	}
-	res.Close()
-	res.Close() // idempotent
 }

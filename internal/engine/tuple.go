@@ -121,6 +121,15 @@ type cursorFunc func() (Tuple, bool, error)
 
 func (f cursorFunc) Next() (Tuple, bool, error) { return f() }
 
+// closingCursor is a cursorFunc whose Close cancels and joins the producers
+// its inputs started (joins over exchanged or async-drained inputs).
+type closingCursor struct {
+	cursorFunc
+	close func()
+}
+
+func (c closingCursor) Close() { c.close() }
+
 // emptyCursor yields nothing.
 type emptyCursor struct{}
 

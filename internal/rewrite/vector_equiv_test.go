@@ -14,9 +14,10 @@ import (
 // TestRandomizedPlanEquivalenceVectorized replays the generator corpus with
 // the vectorized execution path and the dataguide path index switched on, at
 // several batch-window caps (including 2 and 3, which force mid-batch
-// boundaries everywhere). Every answer must be byte-identical to the scalar
-// walk-based baseline — the whole contract of the batch path: it may only
-// change how fast bindings move, never which bindings move or their order.
+// boundaries everywhere), alone and combined with exchange parallelism.
+// Every answer must be byte-identical to the scalar walk-based baseline — the
+// whole contract of the batch and parallel paths: they may only change how
+// fast bindings move, never which bindings move or their order.
 func TestRandomizedPlanEquivalenceVectorized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20020208))
 	const trials = 150
@@ -25,6 +26,10 @@ func TestRandomizedPlanEquivalenceVectorized(t *testing.T) {
 		{BatchExec: 64},
 		{BatchExec: 3, PathIndex: true},
 		{PathIndex: true},
+		{Parallelism: 2},
+		{Parallelism: 2, BatchExec: 64},
+		{Parallelism: 4, BatchExec: 3, PathIndex: true},
+		{Parallelism: 8, BatchExec: 2, ExchangeBuffer: 1},
 	}
 	executed := 0
 	for trial := 0; trial < trials; trial++ {
