@@ -29,31 +29,39 @@ func buildShop() *mix.DB {
 	})
 	db.MustInsert("customer", mix.Str("A1"), mix.Str("Ada"), mix.Str("LA"))
 	db.MustInsert("customer", mix.Str("B2"), mix.Str("Bob"), mix.Str("NY"))
+	db.MustInsert("customer", mix.Str("C3"), mix.Str("Cy"), mix.Str("."))
 	db.MustInsert("orders", mix.Str("O1"), mix.Str("A1"), mix.Int(120))
 	db.MustInsert("orders", mix.Str("O2"), mix.Str("A1"), mix.Int(80000))
 	db.MustInsert("orders", mix.Str("O3"), mix.Str("B2"), mix.Int(300))
 	return db
 }
 
-// ExampleMediator_Query shows a selection pushed down to the source.
+// ExampleMediator_Query shows a selection pushed down to the source. The
+// constant is quoted in the generated SQL unless it is a plain numeral, so
+// even "." selects by string.
 func ExampleMediator_Query() {
 	med := mix.New()
 	med.AddRelationalSource(buildShop())
 
-	doc, err := med.Query(`
+	for _, addr := range []string{"LA", "."} {
+		med.ResetStats()
+		doc, err := med.Query(`
 FOR $C IN document(&shop.customer)/customer
-WHERE $C/addr = "LA"
+WHERE $C/addr = "` + addr + `"
 RETURN $C`)
-	if err != nil {
-		panic(err)
+		if err != nil {
+			panic(err)
+		}
+		for n := doc.Root().Down(); n != nil; n = n.Right() {
+			name := n.Materialize().Find("name")
+			fmt.Println(name.Children[0].Label)
+		}
+		fmt.Println("shipped:", med.Stats().TuplesShipped)
 	}
-	for n := doc.Root().Down(); n != nil; n = n.Right() {
-		name := n.Materialize().Find("name")
-		fmt.Println(name.Children[0].Label)
-	}
-	fmt.Println("shipped:", med.Stats().TuplesShipped)
 	// Output:
 	// Ada
+	// shipped: 1
+	// Cy
 	// shipped: 1
 }
 

@@ -378,7 +378,7 @@ func (e *Estimator) condSelectivity(c xmas.Cond, binds map[xmas.Var]colBind, inR
 	v, lit, op := c.Left.V, c.Right.Const, c.Op
 	if c.Left.IsConst {
 		v, lit = c.Right.V, c.Left.Const
-		op = flipOp(op)
+		op = op.Flip()
 	}
 	cs, ok := e.colStatsFor(binds[v])
 	return litSelectivity(cs, ok, op, lit)
@@ -422,7 +422,7 @@ func (e *Estimator) predSelectivity(server string, aliasRel map[string]string, p
 	col, lit, op := p.Left, p.Right.Lit, p.Op
 	if p.Left.IsLit {
 		col, lit = p.Right, p.Left.Lit
-		op = flipOp(op)
+		op = op.Flip()
 	}
 	cs, ok := stats(col)
 	return litSelectivity(cs, ok, op, lit)
@@ -464,35 +464,6 @@ func litSelectivity(cs relstore.ColStats, ok bool, op xtree.CmpOp, lit string) f
 func clampSel(s float64) float64 { return math.Min(0.999, math.Max(0.001, s)) }
 
 func rangeTriple(cs relstore.ColStats, lit string) (lo, hi, v float64, ok bool) {
-	f := func(d relstore.Datum) (float64, bool) {
-		switch d.Kind {
-		case relstore.TInt:
-			return float64(d.I), true
-		case relstore.TFloat:
-			return d.F, true
-		}
-		return 0, false
-	}
-	lo, ok1 := f(cs.Min)
-	hi, ok2 := f(cs.Max)
-	pv, err := relstore.ParseDatum(cs.Min.Kind, lit)
-	if !ok1 || !ok2 || err != nil {
-		return 0, 0, 0, false
-	}
-	v, ok3 := f(pv)
-	return lo, hi, v, ok3
-}
-
-func flipOp(op xtree.CmpOp) xtree.CmpOp {
-	switch op {
-	case xtree.OpLT:
-		return xtree.OpGT
-	case xtree.OpLE:
-		return xtree.OpGE
-	case xtree.OpGT:
-		return xtree.OpLT
-	case xtree.OpGE:
-		return xtree.OpLE
-	}
-	return op
+	l, h, a := cs.Min.Atom(), cs.Max.Atom(), xtree.ParseAtom(lit)
+	return l.F, h.F, a.F, l.Num && h.Num && a.Num
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 
 	"mix/internal/xmas"
 	"mix/internal/xtree"
@@ -268,76 +267,6 @@ func (c *Ctx) batchCap() int {
 
 // ---- condition evaluation over columns ----
 
-// preVal is a pre-resolved comparison operand: its comparable string (the
-// atom-then-id resolution of operandCmpValue) and its numeric form.
-type preVal struct {
-	s     string
-	f     float64
-	num   bool
-	valid bool
-}
-
-func preResolve(v Value) preVal {
-	s, ok := cmpKeyOf(v)
-	if !ok {
-		return preVal{}
-	}
-	return preValOf(s)
-}
-
-func preValOf(s string) preVal {
-	p := preVal{s: s, valid: true}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		p.f, p.num = f, true
-	}
-	return p
-}
-
-// cmpPre mirrors xtree.CompareValues on pre-parsed operands: numeric when
-// both sides parse as numbers, lexicographic otherwise.
-func cmpPre(x, y preVal) int {
-	if x.num && y.num {
-		switch {
-		case x.f < y.f:
-			return -1
-		case x.f > y.f:
-			return 1
-		default:
-			return 0
-		}
-	}
-	switch {
-	case x.s < y.s:
-		return -1
-	case x.s > y.s:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func evalPre(x preVal, op xtree.CmpOp, y preVal) bool {
-	if !x.valid || !y.valid {
-		return false
-	}
-	c := cmpPre(x, y)
-	switch op {
-	case xtree.OpEQ:
-		return c == 0
-	case xtree.OpNE:
-		return c != 0
-	case xtree.OpLT:
-		return c < 0
-	case xtree.OpLE:
-		return c <= 0
-	case xtree.OpGT:
-		return c > 0
-	case xtree.OpGE:
-		return c >= 0
-	}
-	return false
-}
-
 // condEval evaluates one condition against batch rows with the operand
 // columns resolved once per batch schema and constants parsed once per
 // cursor, replicating evalCond exactly (including the id-selection forms and
@@ -350,8 +279,8 @@ type condEval struct {
 	idSelR  bool // &oid = $v (id on the left)
 	lIdx    int  // column of the left operand, -1 when const
 	rIdx    int
-	lConst  preVal
-	rConst  preVal
+	lConst  xtree.Atom
+	rConst  xtree.Atom
 }
 
 func newCondEval(cond xmas.Cond, schema []xmas.Var) *condEval {
@@ -380,12 +309,12 @@ func newCondEval(cond xmas.Cond, schema []xmas.Var) *condEval {
 		}
 	default:
 		if cond.Left.IsConst {
-			ce.lConst = preValOf(cond.Left.Const)
+			ce.lConst = xtree.ParseAtom(cond.Left.Const)
 		} else if ce.lIdx = idx(cond.Left.V); ce.lIdx < 0 {
 			ce.generic = true
 		}
 		if cond.Right.IsConst {
-			ce.rConst = preValOf(cond.Right.Const)
+			ce.rConst = xtree.ParseAtom(cond.Right.Const)
 		} else if ce.rIdx = idx(cond.Right.V); ce.rIdx < 0 {
 			ce.generic = true
 		}
@@ -405,18 +334,14 @@ func (ce *condEval) eval(b Batch, r int) bool {
 		id, ok := idOf(b.cols[ce.rIdx][r])
 		return ok && id == ce.cond.Left.Const
 	}
-	left := ce.lConst
+	left, right, ok := ce.lConst, ce.rConst, true
 	if ce.lIdx >= 0 {
-		left = preResolve(b.cols[ce.lIdx][r])
+		left, ok = cmpAtomOf(b.cols[ce.lIdx][r])
 	}
-	if !left.valid {
-		return false
+	if ok && ce.rIdx >= 0 {
+		right, ok = cmpAtomOf(b.cols[ce.rIdx][r])
 	}
-	right := ce.rConst
-	if ce.rIdx >= 0 {
-		right = preResolve(b.cols[ce.rIdx][r])
-	}
-	return evalPre(left, ce.cond.Op, right)
+	return ok && ce.cond.Op.Holds(left.Compare(right))
 }
 
 // ---- vectorized operators ----
@@ -534,8 +459,7 @@ func newVecHashJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, lv,
 				if rIdx := rb.colIndex(rv); rIdx >= 0 {
 					col := rb.cols[rIdx]
 					for r := 0; r < rb.n; r++ {
-						if a, ok := cmpKeyOf(col[r]); ok {
-							k := normKey(a)
+						if k, ok := hashKeyOf(col[r]); ok {
 							table[k] = append(table[k], r)
 						}
 					}
@@ -548,8 +472,8 @@ func newVecHashJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, lv,
 			var lsel, rsel []int
 			col := lb.cols[lIdx]
 			for r := 0; r < lb.n; r++ {
-				if a, ok := cmpKeyOf(col[r]); ok {
-					for _, m := range table[normKey(a)] {
+				if k, ok := hashKeyOf(col[r]); ok {
+					for _, m := range table[k] {
 						lsel = append(lsel, r)
 						rsel = append(rsel, m)
 					}
@@ -573,7 +497,9 @@ func newVecNLJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, cond 
 	loaded := false
 	// Pre-resolved right-operand column (var-vs-var atom comparisons): one
 	// resolution per right row for the whole join instead of one per pair.
-	var rPre []preVal
+	// rPre holds the atoms of the right rows rRows that have one.
+	var rPre []xtree.Atom
+	var rRows []int
 	var ce *condEval
 	prepared := false
 	produce := func(max int) (Batch, bool, error) {
@@ -599,9 +525,12 @@ func newVecNLJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, cond 
 				// operands.
 				if !ce.generic && !ce.idSel && !ce.idSelR && ce.rIdx >= len(lb.cols) {
 					rCol := rb.cols[ce.rIdx-len(lb.cols)]
-					rPre = make([]preVal, rb.n)
+					rPre = make([]xtree.Atom, 0, rb.n)
 					for r := 0; r < rb.n; r++ {
-						rPre[r] = preResolve(rCol[r])
+						if a, ok := cmpAtomOf(rCol[r]); ok {
+							rPre = append(rPre, a)
+							rRows = append(rRows, r)
+						}
 					}
 				}
 			}
@@ -615,22 +544,22 @@ func newVecNLJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, cond 
 					}
 				case rPre != nil && ce.lIdx >= 0 && ce.lIdx < len(lb.cols):
 					// left column vs right column, both pre-resolvable
-					lp := preResolve(lb.cols[ce.lIdx][r])
-					if !lp.valid {
+					lp, ok := cmpAtomOf(lb.cols[ce.lIdx][r])
+					if !ok {
 						continue
 					}
-					for m := 0; m < rb.n; m++ {
-						if evalPre(lp, ce.cond.Op, rPre[m]) {
+					for i, a := range rPre {
+						if ce.cond.Op.Holds(lp.Compare(a)) {
 							lsel = append(lsel, r)
-							rsel = append(rsel, m)
+							rsel = append(rsel, rRows[i])
 						}
 					}
 				case rPre != nil && ce.lIdx < 0:
 					// const vs right column
-					for m := 0; m < rb.n; m++ {
-						if evalPre(ce.lConst, ce.cond.Op, rPre[m]) {
+					for i, a := range rPre {
+						if ce.cond.Op.Holds(ce.lConst.Compare(a)) {
 							lsel = append(lsel, r)
-							rsel = append(rsel, m)
+							rsel = append(rsel, rRows[i])
 						}
 					}
 				default:

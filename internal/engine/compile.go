@@ -654,13 +654,13 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 						}
 						table = map[string][]Tuple{}
 						for _, rt := range rows {
-							if a, ok := cmpKeyOf(rt.MustGet(rv)); ok {
-								table[normKey(a)] = append(table[normKey(a)], rt)
+							if k, ok := hashKeyOf(rt.MustGet(rv)); ok {
+								table[k] = append(table[k], rt)
 							}
 						}
 					}
-					if a, ok := cmpKeyOf(t.MustGet(lv)); ok {
-						matches = table[normKey(a)]
+					if k, ok := hashKeyOf(t.MustGet(lv)); ok {
+						matches = table[k]
 					}
 				}
 			}, func() { closeCursor(linput); build.Close() }}
@@ -766,8 +766,8 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 					if hashable {
 						keys = map[string]bool{}
 						for _, rt := range rows {
-							if a, ok := cmpKeyOf(rt.MustGet(otherVar)); ok {
-								keys[normKey(a)] = true
+							if k, ok := hashKeyOf(rt.MustGet(otherVar)); ok {
+								keys[k] = true
 							}
 						}
 					} else {
@@ -777,7 +777,7 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 				}
 				match := false
 				if hashable {
-					if a, ok := cmpKeyOf(t.MustGet(keepVar)); ok && keys[normKey(a)] {
+					if k, ok := hashKeyOf(t.MustGet(keepVar)); ok && keys[k] {
 						match = true
 					}
 				} else {

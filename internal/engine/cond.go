@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"strconv"
-
 	"mix/internal/xmas"
 	"mix/internal/xtree"
 )
@@ -22,56 +20,46 @@ func evalCond(c xmas.Cond, t Tuple) bool {
 		id, ok := idOf(t.MustGet(c.Right.V))
 		return ok && id == c.Left.Const
 	}
-	left, ok := operandCmpValue(c.Left, t)
+	left, ok := operandAtom(c.Left, t)
 	if !ok {
 		return false
 	}
-	right, ok := operandCmpValue(c.Right, t)
+	right, ok := operandAtom(c.Right, t)
 	if !ok {
 		return false
 	}
-	return xtree.EvalCmp(left, c.Op, right)
+	return c.Op.Holds(left.Compare(right))
 }
 
-// operandCmpValue resolves an operand to its comparable value: a constant,
-// the bound element's atom, or — for elements without an atomic value, such
-// as whole tuple objects — its object id. Comparing tuple variables by id is
-// how the semi-joins that rule 9 introduces correlate group keys ($C' = $C).
-func operandCmpValue(o xmas.Operand, t Tuple) (string, bool) {
+// operandAtom resolves an operand to its parsed comparable value: a
+// constant, or the cmpAtomOf of the bound value.
+func operandAtom(o xmas.Operand, t Tuple) (xtree.Atom, bool) {
 	if o.IsConst {
-		return o.Const, true
+		return xtree.ParseAtom(o.Const), true
 	}
 	v, ok := t.Get(o.V)
 	if !ok {
-		return "", false
+		return xtree.Atom{}, false
 	}
-	if a, ok := atomOf(v); ok {
-		return a, true
-	}
-	if id, ok := idOf(v); ok && id != "" {
-		return id, true
-	}
-	return "", false
+	return cmpAtomOf(v)
 }
 
-// cmpKeyOf extracts the comparable/hashable key of a value: atom first, then
-// object id — the same resolution operandCmpValue uses, so hash joins agree
-// with evalCond.
-func cmpKeyOf(v Value) (string, bool) {
+// cmpAtomOf parses the comparable value of v: its atom, or — for elements
+// without an atomic value, such as whole tuple objects — its object id.
+// Comparing tuple variables by id is how the semi-joins that rule 9
+// introduces correlate group keys ($C' = $C).
+func cmpAtomOf(v Value) (xtree.Atom, bool) {
 	if a, ok := atomOf(v); ok {
-		return a, true
+		return xtree.ParseAtom(a), true
 	}
 	if id, ok := idOf(v); ok && id != "" {
-		return id, true
+		return xtree.ParseAtom(id), true
 	}
-	return "", false
+	return xtree.Atom{}, false
 }
 
-// normKey normalizes an atom for hashing so that hash joins agree with
-// xtree.CompareValues (numerically equal atoms hash equal).
-func normKey(atom string) string {
-	if f, err := strconv.ParseFloat(atom, 64); err == nil {
-		return strconv.FormatFloat(f, 'g', -1, 64)
-	}
-	return atom
+// hashKeyOf is v's hash-join key: values evalCond finds equal share it.
+func hashKeyOf(v Value) (string, bool) {
+	a, ok := cmpAtomOf(v)
+	return a.Key(), ok
 }

@@ -13,7 +13,10 @@ package relstore
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+
+	"mix/internal/xtree"
 )
 
 // Type is a column type.
@@ -66,45 +69,25 @@ func (d Datum) String() string {
 	}
 }
 
-// Compare orders two datums. Numeric kinds compare numerically with each
-// other; strings compare lexicographically; a numeric and a string compare
-// via the string form of the number (matching xtree.CompareValues so that
-// pushed-down and mediator-evaluated predicates agree).
-func Compare(a, b Datum) int {
-	an, aok := a.numeric()
-	bn, bok := b.numeric()
-	if aok && bok {
-		switch {
-		case an < bn:
-			return -1
-		case an > bn:
-			return 1
-		default:
-			return 0
-		}
-	}
-	as, bs := a.String(), b.String()
+// Atom converts d to the comparison kernel's atom. INT and FLOAT datums are
+// numbers, except that a NaN or infinite FLOAT compares as its string form —
+// what the mediator sees once the datum is shipped. A STRING datum is parsed
+// as text.
+func (d Datum) Atom() xtree.Atom {
 	switch {
-	case as < bs:
-		return -1
-	case as > bs:
-		return 1
-	default:
-		return 0
+	case d.Kind == TInt:
+		return xtree.Atom{F: float64(d.I), Num: true}
+	case d.Kind == TFloat && !math.IsNaN(d.F) && !math.IsInf(d.F, 0):
+		return xtree.Atom{F: d.F, Num: true}
+	case d.Kind == TFloat:
+		return xtree.Atom{S: d.String()}
 	}
+	return xtree.ParseAtom(d.S)
 }
 
-func (d Datum) numeric() (float64, bool) {
-	switch d.Kind {
-	case TInt:
-		return float64(d.I), true
-	case TFloat:
-		return d.F, true
-	default:
-		f, err := strconv.ParseFloat(d.S, 64)
-		return f, err == nil
-	}
-}
+// Compare orders two datums by xtree.Atom.Compare, so pushed-down and
+// mediator-evaluated predicates agree.
+func Compare(a, b Datum) int { return a.Atom().Compare(b.Atom()) }
 
 // ParseDatum converts a literal string to a datum of the column type.
 func ParseDatum(t Type, s string) (Datum, error) {
@@ -116,11 +99,11 @@ func ParseDatum(t Type, s string) (Datum, error) {
 		}
 		return Int(v), nil
 	case TFloat:
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
+		a := xtree.ParseAtom(s)
+		if !a.Num {
 			return Datum{}, fmt.Errorf("relstore: %q is not a float", s)
 		}
-		return Float(v), nil
+		return Float(a.F), nil
 	default:
 		return Str(s), nil
 	}

@@ -127,7 +127,7 @@ func (d *Doc) OpenScan(opts source.ScanOpts) (source.ElemCursor, error) {
 		ordered: opts.Ordered,
 		stop:    make(chan struct{}),
 		state:   make([]supState, len(live)),
-		keys:    make([]string, len(live)),
+		keys:    make([]xtree.Atom, len(live)),
 		heads:   make([]*xtree.Node, len(live)),
 	}
 	if opts.Parallel && len(live) > 1 && d.fanOutWins(len(live), opts.BatchSize) {
@@ -400,7 +400,7 @@ type fanCursor struct {
 	pumps   []*pumpSupplier
 	state   []supState
 	heads   []*xtree.Node
-	keys    []string // normalized merge key per buffered head
+	keys    []xtree.Atom // merge key per buffered head
 	rr      int
 	failed  error
 
@@ -437,7 +437,7 @@ func (c *fanCursor) nextOrdered() (*xtree.Node, bool, error) {
 				break
 			}
 			c.heads[i] = n
-			c.keys[i] = NormalizeKey(KeyOf(n, c.d.spec.KeyPath))
+			c.keys[i] = xtree.ParseAtom(KeyOf(n, c.d.spec.KeyPath))
 			c.state[i] = supHave
 		}
 	}
@@ -446,7 +446,7 @@ func (c *fanCursor) nextOrdered() (*xtree.Node, bool, error) {
 		if c.state[i] != supHave {
 			continue
 		}
-		if min == -1 || c.keys[i] < c.keys[min] {
+		if min == -1 || c.keys[i].Compare(c.keys[min]) < 0 {
 			min = i
 		}
 	}

@@ -150,6 +150,34 @@ func TestShardOf(t *testing.T) {
 	}
 }
 
+// Routing follows the comparison kernel on hostile atoms: every hash:N
+// spec puts Compare-equal keys on one member, range shards are monotone in
+// the kernel's order, and range bounds ascend in that order.
+func TestShardOfHostileAtoms(t *testing.T) {
+	domain := []string{"NaN", "-0", "0", "0.0", "+7", "07", "7", "1e400", "Inf", "0x1p4", "1a", "10", "2", ".5", ""}
+	r := shard.Spec{Mode: shard.ModeRange, Bounds: []string{"0", "7", "10", "1a"}}
+	if err := r.Validate(); err != nil {
+		t.Fatalf("bounds ascending in kernel order rejected: %v", err)
+	}
+	if err := (shard.Spec{Mode: shard.ModeRange, Bounds: []string{"10", "2"}}).Validate(); err == nil {
+		t.Fatal("bounds 10,2 descend in kernel order and must be rejected")
+	}
+	for _, x := range domain {
+		for _, y := range domain {
+			c := xtree.CompareValues(x, y)
+			for n := 2; n <= 5; n++ {
+				h := shard.Spec{Mode: shard.ModeHash, N: n}
+				if c == 0 && h.ShardOf(x) != h.ShardOf(y) {
+					t.Errorf("hash:%d splits equal keys %q (shard %d) and %q (shard %d)", n, x, h.ShardOf(x), y, h.ShardOf(y))
+				}
+			}
+			if c <= 0 && r.ShardOf(x) > r.ShardOf(y) {
+				t.Errorf("range: %q <= %q but shard %d > %d", x, y, r.ShardOf(x), r.ShardOf(y))
+			}
+		}
+	}
+}
+
 func TestKeyOf(t *testing.T) {
 	c := child("C1", "k1")
 	if got := shard.KeyOf(c, nil); got != "&C1" {

@@ -77,7 +77,7 @@ func (s Spec) Validate() error {
 			if b == "" {
 				return fmt.Errorf("shard: range bounds must be non-empty")
 			}
-			if i > 0 && s.Bounds[i-1] >= b {
+			if i > 0 && xtree.CompareValues(s.Bounds[i-1], b) >= 0 {
 				return fmt.Errorf("shard: range bounds must ascend, %q >= %q", s.Bounds[i-1], b)
 			}
 		}
@@ -92,26 +92,18 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// ShardOf maps a partition key to its shard index. Keys are normalized so
-// that atoms the engine's comparisons treat as equal land on one shard.
+// ShardOf maps a partition key to its shard index by the comparison
+// kernel, so atoms the engine's comparisons treat as equal land on one
+// shard: range bounds are ordered by xtree.Atom.Compare and hash shards
+// hash the xtree.Atom.Key.
 func (s Spec) ShardOf(key string) int {
-	key = NormalizeKey(key)
+	a := xtree.ParseAtom(key)
 	if s.Mode == ModeRange {
-		return sort.Search(len(s.Bounds), func(i int) bool { return key < s.Bounds[i] })
+		return sort.Search(len(s.Bounds), func(i int) bool { return a.Compare(xtree.ParseAtom(s.Bounds[i])) < 0 })
 	}
 	h := fnv.New32a()
-	h.Write([]byte(key))
+	h.Write([]byte(a.Key()))
 	return int(h.Sum32() % uint32(s.N))
-}
-
-// NormalizeKey canonicalizes an atom the way the engine's hash joins do:
-// numerically equal atoms map to one key, everything else is taken
-// verbatim.
-func NormalizeKey(key string) string {
-	if f, err := strconv.ParseFloat(key, 64); err == nil {
-		return strconv.FormatFloat(f, 'g', -1, 64)
-	}
-	return key
 }
 
 // String renders the spec in the form ParseSpec accepts.

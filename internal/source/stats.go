@@ -1,9 +1,11 @@
 package source
 
 import (
+	"fmt"
+
 	"mix/internal/relstore"
+	"mix/internal/sqlexec"
 	"mix/internal/sqlparse"
-	"mix/internal/xtree"
 )
 
 // SizeHinted is implemented by source documents that can report (an estimate
@@ -115,14 +117,18 @@ func (c *Catalog) AnswerFromScanCache(db *relstore.DB, sql string) (relstore.Cur
 		return nil, false
 	}
 	alias := q.From[0].Alias
-	colIdx := func(c sqlparse.ColRef) int {
-		if c.Qualifier != "" && c.Qualifier != alias {
-			return -1
+	col := func(c sqlparse.ColRef) (int, relstore.Type, error) {
+		idx := -1
+		if c.Qualifier == "" || c.Qualifier == alias {
+			idx = schema.ColIndex(c.Column)
 		}
-		return schema.ColIndex(c.Column)
+		if idx < 0 {
+			return -1, 0, fmt.Errorf("source: unknown column %s", c)
+		}
+		return idx, schema.Columns[idx].Type, nil
 	}
 	for i, k := range schema.Key {
-		if colIdx(q.OrderBy[i]) != k {
+		if idx, _, _ := col(q.OrderBy[i]); idx != k {
 			return nil, false
 		}
 	}
@@ -134,74 +140,21 @@ func (c *Catalog) AnswerFromScanCache(db *relstore.DB, sql string) (relstore.Cur
 	// (all schema columns, by position).
 	var filters []func([]relstore.Datum) bool
 	for _, p := range q.Where {
-		f, ok := compileScanPred(schema, colIdx, p)
-		if !ok {
+		f, err := sqlexec.CompilePred(p, col)
+		if err != nil {
 			return nil, false
 		}
 		filters = append(filters, f)
 	}
 	proj := make([]int, len(q.Cols))
-	for i, col := range q.Cols {
-		idx := colIdx(col)
-		if idx < 0 {
+	for i, c := range q.Cols {
+		idx, _, err := col(c)
+		if err != nil {
 			return nil, false
 		}
 		proj[i] = idx
 	}
 	return &scanCacheCursor{rows: rows, filters: filters, proj: proj}, true
-}
-
-// compileScanPred compiles one WHERE conjunct over a full schema row,
-// mirroring sqlexec's operand typing: a literal is parsed with the opposing
-// column's type and falls back to a string on mismatch.
-func compileScanPred(schema relstore.Schema, colIdx func(sqlparse.ColRef) int, p sqlparse.Pred) (func([]relstore.Datum) bool, bool) {
-	getter := func(e, other sqlparse.Expr) (func([]relstore.Datum) relstore.Datum, bool) {
-		if e.IsLit {
-			typ := relstore.TString
-			if !other.IsLit {
-				if idx := colIdx(other.Col); idx >= 0 {
-					typ = schema.Columns[idx].Type
-				}
-			}
-			d, err := relstore.ParseDatum(typ, e.Lit)
-			if err != nil {
-				d = relstore.Str(e.Lit)
-			}
-			return func([]relstore.Datum) relstore.Datum { return d }, true
-		}
-		idx := colIdx(e.Col)
-		if idx < 0 {
-			return nil, false
-		}
-		return func(row []relstore.Datum) relstore.Datum { return row[idx] }, true
-	}
-	lf, ok := getter(p.Left, p.Right)
-	if !ok {
-		return nil, false
-	}
-	rf, ok := getter(p.Right, p.Left)
-	if !ok {
-		return nil, false
-	}
-	op := p.Op
-	return func(row []relstore.Datum) bool {
-		c := relstore.Compare(lf(row), rf(row))
-		switch op {
-		case xtree.OpEQ:
-			return c == 0
-		case xtree.OpNE:
-			return c != 0
-		case xtree.OpLT:
-			return c < 0
-		case xtree.OpLE:
-			return c <= 0
-		case xtree.OpGT:
-			return c > 0
-		case xtree.OpGE:
-			return c >= 0
-		}
-		return false
-	}, true
 }
 
 // scanCacheCursor filters and projects a cached scan. Like the replay

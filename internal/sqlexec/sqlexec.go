@@ -312,56 +312,48 @@ func (r *resolver) compileJoined(p sqlparse.Pred, _ int) (compiledPred, error) {
 }
 
 func (r *resolver) compile(p sqlparse.Pred, rebase int) (compiledPred, error) {
-	getter := func(e sqlparse.Expr, other sqlparse.Expr) (func([]relstore.Datum) relstore.Datum, error) {
+	return CompilePred(p, func(c sqlparse.ColRef) (int, relstore.Type, error) {
+		off, typ, err := r.resolve(c)
+		return off - rebase, typ, err
+	})
+}
+
+// CompilePred compiles one WHERE conjunct over a row; col maps a column
+// reference to its offset in the row and its type. A literal is parsed with
+// the opposing column's type and stays a string when it does not parse as
+// one. Operands compare by xtree.Atom.Compare; a literal is parsed once.
+func CompilePred(p sqlparse.Pred, col func(sqlparse.ColRef) (int, relstore.Type, error)) (func([]relstore.Datum) bool, error) {
+	operand := func(e, other sqlparse.Expr) (func([]relstore.Datum) xtree.Atom, error) {
 		if e.IsLit {
-			var typ relstore.Type = relstore.TString
+			typ := relstore.TString
 			if !other.IsLit {
-				if _, t, err := r.resolve(other.Col); err == nil {
+				if _, t, err := col(other.Col); err == nil {
 					typ = t
 				}
 			}
 			d, err := relstore.ParseDatum(typ, e.Lit)
 			if err != nil {
-				// Fall back to string comparison (mirrors the loose typing
-				// of xtree.CompareValues).
 				d = relstore.Str(e.Lit)
 			}
-			return func([]relstore.Datum) relstore.Datum { return d }, nil
+			a := d.Atom()
+			return func([]relstore.Datum) xtree.Atom { return a }, nil
 		}
-		off, _, err := r.resolve(e.Col)
+		off, _, err := col(e.Col)
 		if err != nil {
 			return nil, err
 		}
-		off -= rebase
-		return func(row []relstore.Datum) relstore.Datum { return row[off] }, nil
+		return func(row []relstore.Datum) xtree.Atom { return row[off].Atom() }, nil
 	}
-	lf, err := getter(p.Left, p.Right)
+	lf, err := operand(p.Left, p.Right)
 	if err != nil {
 		return nil, err
 	}
-	rf, err := getter(p.Right, p.Left)
+	rf, err := operand(p.Right, p.Left)
 	if err != nil {
 		return nil, err
 	}
 	op := p.Op
-	return func(row []relstore.Datum) bool {
-		c := relstore.Compare(lf(row), rf(row))
-		switch op {
-		case xtree.OpEQ:
-			return c == 0
-		case xtree.OpNE:
-			return c != 0
-		case xtree.OpLT:
-			return c < 0
-		case xtree.OpLE:
-			return c <= 0
-		case xtree.OpGT:
-			return c > 0
-		case xtree.OpGE:
-			return c >= 0
-		}
-		return false
-	}, nil
+	return func(row []relstore.Datum) bool { return op.Holds(lf(row).Compare(rf(row))) }, nil
 }
 
 // ---- iterators ----
@@ -476,7 +468,7 @@ func newHashJoin(left, right iter, keyL, keyR func([]relstore.Datum) relstore.Da
 			if !ok {
 				break
 			}
-			k := keyR(r).String()
+			k := keyR(r).Atom().Key()
 			j.table[k] = append(j.table[k], r)
 		}
 	}
@@ -515,7 +507,7 @@ func (j *hashJoin) next() ([]relstore.Datum, bool) {
 			return nil, false
 		}
 		j.leftRow = lr
-		j.matches = j.table[j.keyL(lr).String()]
+		j.matches = j.table[j.keyL(lr).Atom().Key()]
 		j.matchIdx = 0
 	}
 }

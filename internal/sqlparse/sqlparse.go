@@ -47,7 +47,7 @@ func (e Expr) String() string {
 	if !e.IsLit {
 		return e.Col.String()
 	}
-	if isNumber(e.Lit) {
+	if xtree.IsPlainNumeral(e.Lit) {
 		return e.Lit
 	}
 	return "'" + strings.ReplaceAll(e.Lit, "'", "''") + "'"
@@ -186,25 +186,6 @@ func (p *parser) peekByte() byte {
 
 func isIdentByte(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-}
-
-func isNumber(s string) bool {
-	if s == "" {
-		return false
-	}
-	dot := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-		case c == '.' && !dot:
-			dot = true
-		case c == '-' && i == 0:
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // word reads an identifier/keyword; returns "" at a non-identifier.

@@ -37,14 +37,18 @@ var genSources = []genSource{
 
 // genConsts holds selection constants per field: values present in PaperDB
 // plus one absent value, so generated selections sometimes keep and
-// sometimes drop rows.
+// sometimes drop rows. The numeric fields also get hostile spellings —
+// leading zeros and signs, a trailing fraction, NaN and an overflowing
+// numeral — that equal a stored value (or nothing) only under the
+// comparison kernel's rules, so pushdown, the scan cache and mediator
+// evaluation must agree on them.
 var genConsts = map[string][]string{
 	"customer.id":   {"XYZ123", "DEF345", "ABC000"},
 	"customer.name": {"XYZInc.", "DEFCorp.", "NoSuchInc."},
 	"customer.addr": {"LosAngeles", "NewYork", "Nowhere"},
-	"orders.orid":   {"28904", "87456", "31416", "00000"},
+	"orders.orid":   {"28904", "87456", "31416", "00000", "031416", "+28904", "87456.0", "NaN", "1e400"},
 	"orders.cid":    {"XYZ123", "ABC000", "DEF345", "GHI999"},
-	"orders.value":  {"2400", "200000", "150", "30000", "7"},
+	"orders.value":  {"2400", "200000", "150", "30000", "7", "07", "+150", "150.0", "NaN", "1e400"},
 }
 
 // RandomPlan generates a random plan over the paper catalog.

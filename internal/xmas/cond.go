@@ -66,31 +66,12 @@ func (o Operand) String() string {
 		if strings.HasPrefix(o.Const, "&") {
 			return o.Const
 		}
-		if isNumeric(o.Const) {
+		if xtree.IsPlainNumeral(o.Const) {
 			return o.Const
 		}
 		return `"` + o.Const + `"`
 	}
 	return string(o.V)
-}
-
-func isNumeric(s string) bool {
-	if s == "" {
-		return false
-	}
-	dot := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-		case c == '.' && !dot:
-			dot = true
-		case c == '-' && i == 0:
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func (c Cond) String() string {

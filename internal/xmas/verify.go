@@ -151,7 +151,7 @@ func Lint(root Op) []*VerifyError {
 				if !isSel {
 					break
 				}
-				if v2, c2, ok := constEquality(inner.Cond); ok && v2 == eqVar && c2 != eqConst {
+				if v2, c2, ok := constEquality(inner.Cond); ok && v2 == eqVar && xtree.CompareValues(c2, eqConst) != 0 {
 					out = append(out, &VerifyError{
 						Rule: "unsat-cond",
 						Op:   Describe(op),

@@ -1,8 +1,9 @@
 package xquery
 
 import (
-	"strconv"
 	"strings"
+
+	"mix/internal/xtree"
 )
 
 // String renders the query back to concrete syntax. The output reparses to
@@ -63,7 +64,7 @@ func writeOperand(b *strings.Builder, o Operand) {
 			b.WriteString(o.Const)
 			return
 		}
-		if _, err := strconv.ParseFloat(o.Const, 64); err == nil {
+		if xtree.IsPlainNumeral(o.Const) {
 			b.WriteString(o.Const)
 			return
 		}
