@@ -176,7 +176,7 @@ func TestHostileAtomsEndToEnd(t *testing.T) {
 		warm bool
 	}{
 		{"default", mix.Config{}, false},
-		{"scalar", mix.Config{BatchExec: 1}, false},
+		{"window-1", mix.Config{BatchExec: 1}, false},
 		{"parallel", mix.Config{Parallelism: 2}, false},
 		{"no-pushdown", mix.Config{DisablePushdown: true}, false},
 		{"cost-opt", mix.Config{CostOpt: true}, false},

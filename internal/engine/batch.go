@@ -7,25 +7,25 @@ import (
 	"mix/internal/xtree"
 )
 
-// This file is the vectorized execution path (ROADMAP item 4): operators
-// optionally move bindings in small columnar chunks instead of one tuple at
-// a time. The scalar cursor contract is unchanged — every vectorized cursor
-// still answers Next() — so laziness, first-answer latency and the root
-// result loop are untouched. Batching engages per execution when
-// Options.BatchExec > 1 and degrades per operator: an operator whose input
-// cannot produce batches adapts it with a scalar pull loop, and operators
-// without a columnar implementation (project, groupBy, orderBy, semiJoin,
-// exchanges) simply stay scalar behind the adapter. Parallelism composes
-// with batching: a vectorized join's probe input may be an exchange and its
-// build side drains through the same buildSide policy as the scalar join's.
+// This file holds the one implementation of the non-blocking operators:
+// select, join (hash and nested loop), semi-join, cat, crElt, apply and getD
+// move bindings in small columnar chunks. Every one of these cursors still
+// answers Next(), so laziness, first-answer latency and the root result loop
+// are those of tuple-at-a-time evaluation. Options.BatchExec chooses no
+// implementation; it only caps the window (Options.window), and 0, 1 and
+// negative values all mean a window of one row — the window every
+// navigation session runs at. The leaf and blocking operators (mkSrc, rQ,
+// nSrc, project, groupBy, orderBy, exchanges) stay scalar behind
+// batchInput, which pulls a scalar cursor up to the requested size.
+// Parallelism composes with batching: a join's probe input may be an
+// exchange and its build side drains through buildSide (parallel.go).
 //
 // The adaptive window is the proven shape from the wire layer's batchWindow:
-// a vectorized cursor consumed through its scalar face pulls its first batch
-// with n=1 (the first answer ships alone), then doubles toward the BatchExec
-// cap while demand continues. Interior batch-to-batch edges pass the
-// requested size straight through, so one execution has a single window —
-// the one at the consumption root — rather than multiplicatively shrinking
-// ones.
+// a cursor consumed through its scalar face pulls its first batch with n=1
+// (the first answer ships alone), then doubles toward the cap while demand
+// continues. Interior batch-to-batch edges pass the requested size straight
+// through, so one execution has a single window — the one at the
+// consumption root — rather than multiplicatively shrinking ones.
 
 // Batch is a columnar chunk of tuples: cols[c][r] is the value of schema[c]
 // in row r. All columns have length n.
@@ -178,9 +178,6 @@ type vecCursor struct {
 }
 
 func newVecCursor(capw int, produce func(max int) (Batch, bool, error), closefn func()) *vecCursor {
-	if capw < 1 {
-		capw = 1
-	}
 	return &vecCursor{produce: produce, closefn: closefn, capw: capw}
 }
 
@@ -256,13 +253,10 @@ func (v *vecCursor) Close() {
 	}
 }
 
-// batchCap returns the execution's batch window cap; 0 means the vectorized
-// path is off (Options.BatchExec of 0 or 1 reproduces scalar execution).
-func (c *Ctx) batchCap() int {
-	if c.opts.BatchExec > 1 {
-		return c.opts.BatchExec
-	}
-	return 0
+// window returns the batch window cap: BatchExec, and at least one row. It
+// is the one reader of BatchExec in the engine.
+func (o Options) window() int {
+	return max(o.BatchExec, 1)
 }
 
 // ---- condition evaluation over columns ----
@@ -344,7 +338,7 @@ func (ce *condEval) eval(b Batch, r int) bool {
 	return ok && ce.cond.Op.Holds(left.Compare(right))
 }
 
-// ---- vectorized operators ----
+// ---- operators ----
 
 // newVecSelect filters batches with a selection vector; a batch where every
 // row passes is forwarded without copying.
@@ -406,7 +400,7 @@ func drainBatch(c Cursor) (Batch, error) {
 	}
 }
 
-// drainChunk is the pull size used when a vectorized operator materializes a
+// drainChunk is the pull size used when an operator materializes a
 // build side: the whole input is needed, so the adaptive window would only
 // add pulls.
 const drainChunk = 256
@@ -436,9 +430,9 @@ func mergeGather(schema []xmas.Var, lb Batch, lsel []int, rb Batch, rsel []int) 
 }
 
 // newVecHashJoin probes the build table a batch of left rows at a time. The
-// build side is drained only once the first probe batch exists — the same
-// empty-left laziness as the scalar path.
-func newVecHashJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, lv, rv xmas.Var, capw int) Cursor {
+// build side is drained only once the first probe batch exists, so an empty
+// probe input never opens it.
+func newVecHashJoin(left Cursor, build *buildSide, schema []xmas.Var, lv, rv xmas.Var, capw int) Cursor {
 	bi := &batchInput{in: left}
 	var rb Batch
 	var table map[string][]int
@@ -490,11 +484,14 @@ func newVecHashJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, lv,
 // newVecNLJoin evaluates the θ-join condition directly over the probe row
 // and the materialized right columns: the per-pair merged tuple — and, for
 // atom comparisons, the per-pair atom extraction and float parse — exist
-// only for pairs that match.
-func newVecNLJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, cond *xmas.Cond, capw int) Cursor {
+// only for pairs that match. It stops gathering at the requested number of
+// rows and resumes from the same pair, so a window of one row stops at the
+// first match rather than gathering all of a probe row's matches.
+func newVecNLJoin(left Cursor, build *buildSide, schema []xmas.Var, cond *xmas.Cond, capw int) Cursor {
 	bi := &batchInput{in: left}
-	var rb Batch
+	var rb, lb Batch
 	loaded := false
+	lr, lm := 0, 0 // resume point: probe row lr of lb, inner index lm
 	// Pre-resolved right-operand column (var-vs-var atom comparisons): one
 	// resolution per right row for the whole join instead of one per pair.
 	// rPre holds the atoms of the right rows rRows that have one.
@@ -504,11 +501,15 @@ func newVecNLJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, cond 
 	prepared := false
 	produce := func(max int) (Batch, bool, error) {
 		for {
-			lb, ok, err := bi.pull(max)
-			if err != nil || !ok {
-				return Batch{}, false, err
+			if lr >= lb.n {
+				b, ok, err := bi.pull(max)
+				if err != nil || !ok {
+					return Batch{}, false, err
+				}
+				lb, lr, lm = b, 0, 0
 			}
 			if !loaded {
+				var err error
 				rb, err = build.get()
 				if err != nil {
 					return Batch{}, false, err
@@ -535,40 +536,52 @@ func newVecNLJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, cond 
 				}
 			}
 			var lsel, rsel []int
-			for r := 0; r < lb.n; r++ {
+		rows:
+			for ; lr < lb.n; lr, lm = lr+1, 0 {
 				switch {
 				case cond == nil:
-					for m := 0; m < rb.n; m++ {
-						lsel = append(lsel, r)
-						rsel = append(rsel, m)
+					for ; lm < rb.n; lm++ {
+						if len(lsel) == max {
+							break rows
+						}
+						lsel = append(lsel, lr)
+						rsel = append(rsel, lm)
 					}
 				case rPre != nil && ce.lIdx >= 0 && ce.lIdx < len(lb.cols):
 					// left column vs right column, both pre-resolvable
-					lp, ok := cmpAtomOf(lb.cols[ce.lIdx][r])
+					lp, ok := cmpAtomOf(lb.cols[ce.lIdx][lr])
 					if !ok {
 						continue
 					}
-					for i, a := range rPre {
-						if ce.cond.Op.Holds(lp.Compare(a)) {
-							lsel = append(lsel, r)
-							rsel = append(rsel, rRows[i])
+					for ; lm < len(rPre); lm++ {
+						if len(lsel) == max {
+							break rows
+						}
+						if ce.cond.Op.Holds(lp.Compare(rPre[lm])) {
+							lsel = append(lsel, lr)
+							rsel = append(rsel, rRows[lm])
 						}
 					}
 				case rPre != nil && ce.lIdx < 0:
 					// const vs right column
-					for i, a := range rPre {
-						if ce.cond.Op.Holds(ce.lConst.Compare(a)) {
-							lsel = append(lsel, r)
-							rsel = append(rsel, rRows[i])
+					for ; lm < len(rPre); lm++ {
+						if len(lsel) == max {
+							break rows
+						}
+						if ce.cond.Op.Holds(ce.lConst.Compare(rPre[lm])) {
+							lsel = append(lsel, lr)
+							rsel = append(rsel, rRows[lm])
 						}
 					}
 				default:
-					lt := lb.Row(r)
-					for m := 0; m < rb.n; m++ {
-						merged := lt.Merge(schema, rb.Row(m))
-						if evalCond(*cond, merged) {
-							lsel = append(lsel, r)
-							rsel = append(rsel, m)
+					lt := lb.Row(lr)
+					for ; lm < rb.n; lm++ {
+						if len(lsel) == max {
+							break rows
+						}
+						if evalCond(*cond, lt.Merge(schema, rb.Row(lm))) {
+							lsel = append(lsel, lr)
+							rsel = append(rsel, lm)
 						}
 					}
 				}
@@ -579,6 +592,84 @@ func newVecNLJoin(left Cursor, build *buildSide[Batch], schema []xmas.Var, cond 
 		}
 	}
 	return newVecCursor(capw, produce, func() { closeCursor(left); build.Close() })
+}
+
+// newVecSemiJoin keeps the rows of the kept input that match some row of the
+// filtering side, each distinct row once. Like the joins, it drains the
+// filtering side only once a kept batch exists. A two-variable equality
+// (hashable) probes a key set; any other condition is evaluated over the
+// merged row, kept side first when the semi-join keeps its left input.
+func newVecSemiJoin(keep Cursor, build *buildSide, o *xmas.SemiJoin, hashable bool, keepVar, otherVar xmas.Var, capw int) Cursor {
+	bi := &batchInput{in: keep}
+	outSchema := o.Schema()
+	keepLeft := o.Keep == xmas.KeepLeft
+	var keys map[string]bool
+	var others []Tuple
+	loaded := false
+	seen := map[string]bool{}
+	matches := func(b Batch, i int) bool {
+		if hashable {
+			k, ok := hashKeyOf(b.cols[b.colIndex(keepVar)][i])
+			return ok && keys[k]
+		}
+		t := b.Row(i)
+		for _, rt := range others {
+			if o.Cond == nil {
+				return true
+			}
+			l, r := t, rt
+			if !keepLeft {
+				l, r = rt, t
+			}
+			if evalCond(*o.Cond, l.Merge(append(append([]xmas.Var{}, l.schema...), r.schema...), r)) {
+				return true
+			}
+		}
+		return false
+	}
+	produce := func(max int) (Batch, bool, error) {
+		for {
+			kb, ok, err := bi.pull(max)
+			if err != nil || !ok {
+				return Batch{}, false, err
+			}
+			if !loaded {
+				rb, err := build.get()
+				if err != nil {
+					return Batch{}, false, err
+				}
+				if hashable {
+					keys = map[string]bool{}
+					if idx := rb.colIndex(otherVar); idx >= 0 {
+						for _, v := range rb.cols[idx] {
+							if k, ok := hashKeyOf(v); ok {
+								keys[k] = true
+							}
+						}
+					}
+				} else {
+					for r := 0; r < rb.n; r++ {
+						others = append(others, rb.Row(r))
+					}
+				}
+				loaded = true
+			}
+			var sel []int
+			for r := 0; r < kb.n; r++ {
+				if !matches(kb, r) {
+					continue
+				}
+				if k := kb.Row(r).Key(outSchema); !seen[k] {
+					seen[k] = true
+					sel = append(sel, r)
+				}
+			}
+			if len(sel) > 0 {
+				return kb.gather(sel), true, nil
+			}
+		}
+	}
+	return newVecCursor(capw, produce, func() { closeCursor(keep); build.Close() })
 }
 
 // newVecCat appends the concatenated-list column to each input batch without
@@ -735,6 +826,9 @@ func newVecGetD(ctx *Ctx, in Cursor, o *xmas.GetD, schema []xmas.Var, capw int) 
 			case NodeVal:
 				matches = ctx.pathMatches(v.E, o.Path)
 			case ListVal:
+				// The rewrite rules (Table 2) produce paths like list.q over
+				// list-valued variables, treating the list as a virtual node
+				// labeled "list" — the tree representation of Figure 5.
 				matches = pathStream(NewElem("", "list", v.L), o.Path)
 			default:
 				curRow++

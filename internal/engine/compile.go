@@ -381,45 +381,8 @@ func compileGetD(o *xmas.GetD, cat *source.Catalog) (compiledOp, error) {
 		return nil, err
 	}
 	schema := o.Schema()
-	path := o.Path
 	return func(ctx *Ctx) Cursor {
-		input := in(ctx)
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecGetD(ctx, input, o, schema, capw)
-		}
-		var cur Tuple
-		var matches func() (*Elem, bool)
-		return cursorFunc(func() (Tuple, bool, error) {
-			for {
-				if matches != nil {
-					if e, ok := matches(); ok {
-						e = e.WithProv(&Provenance{
-							Var:   o.Out,
-							Fixed: []Fixation{{Var: o.Out, ID: e.ID}},
-						})
-						return cur.Extend(schema, NodeVal{E: e}), true, nil
-					}
-					matches = nil
-				}
-				t, ok, err := input.Next()
-				if err != nil || !ok {
-					return Tuple{}, false, err
-				}
-				cur = t
-				switch v := t.MustGet(o.From).(type) {
-				case NodeVal:
-					matches = ctx.pathMatches(v.E, path)
-				case ListVal:
-					// The rewrite rules (Table 2) produce paths like
-					// list.q over list-valued variables, treating the
-					// list as a virtual node labeled "list" — exactly
-					// the tree representation of Figure 5.
-					matches = pathStream(NewElem("", "list", v.L), path)
-				default:
-					continue
-				}
-			}
-		})
+		return newVecGetD(ctx, in(ctx), o, schema, ctx.opts.window())
 	}, nil
 }
 
@@ -494,40 +457,14 @@ func pathStream(root *Elem, path xmas.Path) func() (*Elem, bool) {
 // ---- filtering ----
 
 func compileSelect(o *xmas.Select, cat *source.Catalog) (compiledOp, error) {
-	// Fusion: a select over a cartesian join becomes the join's condition on
-	// the vectorized path, so the condition is evaluated inside the join's
-	// gather loop and non-matching pairs are never materialized into an
-	// output batch only to be filtered again. Left-major pair order is the
-	// same either way, so answers are byte-identical. The scalar path keeps
-	// the unfused select.
+	// Fusion: a select over a cartesian join becomes the join's condition, so
+	// the condition is evaluated inside the join's gather loop and
+	// non-matching pairs are never materialized into an output batch only to
+	// be filtered again. Left-major pair order is the same either way, so
+	// answers are byte-identical.
 	if j, ok := o.In.(*xmas.Join); ok && j.Cond == nil && fusableJoinCond(o.Cond, j) {
 		cc := o.Cond
-		fused, err := compileJoin(&xmas.Join{L: j.L, R: j.R, Cond: &cc}, cat)
-		if err != nil {
-			return nil, err
-		}
-		in, err := compile(o.In, cat)
-		if err != nil {
-			return nil, err
-		}
-		cond := o.Cond
-		return func(ctx *Ctx) Cursor {
-			if ctx.batchCap() > 0 {
-				return fused(ctx)
-			}
-			input := in(ctx)
-			return cursorFunc(func() (Tuple, bool, error) {
-				for {
-					t, ok, err := input.Next()
-					if err != nil || !ok {
-						return Tuple{}, false, err
-					}
-					if evalCond(cond, t) {
-						return t, true, nil
-					}
-				}
-			})
-		}, nil
+		return compileJoin(&xmas.Join{L: j.L, R: j.R, Cond: &cc}, cat)
 	}
 	in, err := compile(o.In, cat)
 	if err != nil {
@@ -535,21 +472,7 @@ func compileSelect(o *xmas.Select, cat *source.Catalog) (compiledOp, error) {
 	}
 	cond := o.Cond
 	return func(ctx *Ctx) Cursor {
-		input := in(ctx)
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecSelect(input, cond, capw)
-		}
-		return cursorFunc(func() (Tuple, bool, error) {
-			for {
-				t, ok, err := input.Next()
-				if err != nil || !ok {
-					return Tuple{}, false, err
-				}
-				if evalCond(cond, t) {
-					return t, true, nil
-				}
-			}
-		})
+		return newVecSelect(in(ctx), cond, ctx.opts.window())
 	}, nil
 }
 
@@ -620,97 +543,14 @@ func compileJoin(o *xmas.Join, cat *source.Catalog) (compiledOp, error) {
 			lv, rv = rv, lv
 		}
 		return func(ctx *Ctx) Cursor {
-			linput := openInput(ctx, left, lAsync)
-			openR := func() Cursor { return right(ctx) }
-			if capw := ctx.batchCap(); capw > 0 {
-				return newVecHashJoin(linput, newBuildSide(ctx.exec, rAsync, openR, drainBatch), schema, lv, rv, capw)
-			}
-			build := newBuildSide(ctx.exec, rAsync, openR, drain)
-			var table map[string][]Tuple
-			var matches []Tuple
-			var matchIdx int
-			var lt Tuple
-			return closingCursor{func() (Tuple, bool, error) {
-				for {
-					if matchIdx < len(matches) {
-						rt := matches[matchIdx]
-						matchIdx++
-						return lt.Merge(schema, rt), true, nil
-					}
-					t, ok, err := linput.Next()
-					if err != nil || !ok {
-						return Tuple{}, false, err
-					}
-					lt = t
-					matches = nil
-					matchIdx = 0
-					// Build the hash table only once a probe tuple exists: an
-					// empty or failed left input must not pay the full
-					// right-source scan.
-					if table == nil {
-						rows, err := build.get()
-						if err != nil {
-							return Tuple{}, false, err
-						}
-						table = map[string][]Tuple{}
-						for _, rt := range rows {
-							if k, ok := hashKeyOf(rt.MustGet(rv)); ok {
-								table[k] = append(table[k], rt)
-							}
-						}
-					}
-					if k, ok := hashKeyOf(t.MustGet(lv)); ok {
-						matches = table[k]
-					}
-				}
-			}, func() { closeCursor(linput); build.Close() }}
+			build := newBuildSide(ctx.exec, rAsync, func() Cursor { return right(ctx) })
+			return newVecHashJoin(openInput(ctx, left, lAsync), build, schema, lv, rv, ctx.opts.window())
 		}, nil
 	}
 
 	return func(ctx *Ctx) Cursor {
-		linput := openInput(ctx, left, lAsync)
-		openR := func() Cursor { return right(ctx) }
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecNLJoin(linput, newBuildSide(ctx.exec, rAsync, openR, drainBatch), schema, cond, capw)
-		}
-		build := newBuildSide(ctx.exec, rAsync, openR, drain)
-		var rrows []Tuple
-		loaded := false
-		var lt Tuple
-		ri := 0
-		haveLeft := false
-		return closingCursor{func() (Tuple, bool, error) {
-			for {
-				if !haveLeft {
-					t, ok, err := linput.Next()
-					if err != nil || !ok {
-						return Tuple{}, false, err
-					}
-					lt = t
-					ri = 0
-					haveLeft = true
-				}
-				// Same laziness as the hash path: materialize the right side
-				// only once a left tuple exists.
-				if !loaded {
-					rows, err := build.get()
-					if err != nil {
-						return Tuple{}, false, err
-					}
-					rrows = rows
-					loaded = true
-				}
-				for ri < len(rrows) {
-					rt := rrows[ri]
-					ri++
-					merged := lt.Merge(schema, rt)
-					if cond == nil || evalCond(*cond, merged) {
-						return merged, true, nil
-					}
-				}
-				haveLeft = false
-			}
-		}, func() { closeCursor(linput); build.Close() }}
+		build := newBuildSide(ctx.exec, rAsync, func() Cursor { return right(ctx) })
+		return newVecNLJoin(openInput(ctx, left, lAsync), build, schema, cond, ctx.opts.window())
 	}, nil
 }
 
@@ -741,70 +581,10 @@ func compileSemiJoin(o *xmas.SemiJoin, cat *source.Catalog) (compiledOp, error) 
 		}
 		hashable = true
 	}
-	outSchema := o.Schema()
 	keepAsync, otherAsync := asyncSide(keepOp), asyncSide(otherOp)
 	return func(ctx *Ctx) Cursor {
-		input := openInput(ctx, keepSide, keepAsync)
-		build := newBuildSide(ctx.exec, otherAsync, func() Cursor { return otherSide(ctx) }, drain)
-		var keys map[string]bool
-		var others []Tuple
-		loaded := false
-		seen := map[string]bool{}
-		return closingCursor{func() (Tuple, bool, error) {
-			for {
-				t, ok, err := input.Next()
-				if err != nil || !ok {
-					return Tuple{}, false, err
-				}
-				// Like the joins, drain the filtering side only once a kept
-				// tuple exists: an empty kept input never opens it.
-				if !loaded {
-					rows, err := build.get()
-					if err != nil {
-						return Tuple{}, false, err
-					}
-					if hashable {
-						keys = map[string]bool{}
-						for _, rt := range rows {
-							if k, ok := hashKeyOf(rt.MustGet(otherVar)); ok {
-								keys[k] = true
-							}
-						}
-					} else {
-						others = rows
-					}
-					loaded = true
-				}
-				match := false
-				if hashable {
-					if k, ok := hashKeyOf(t.MustGet(keepVar)); ok && keys[k] {
-						match = true
-					}
-				} else {
-					for _, rt := range others {
-						var merged Tuple
-						if keepLeft {
-							merged = t.Merge(append(append([]xmas.Var{}, t.Schema()...), rt.Schema()...), rt)
-						} else {
-							merged = rt.Merge(append(append([]xmas.Var{}, rt.Schema()...), t.Schema()...), t)
-						}
-						if cond == nil || evalCond(*cond, merged) {
-							match = true
-							break
-						}
-					}
-				}
-				if !match {
-					continue
-				}
-				k := t.Key(outSchema)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				return t, true, nil
-			}
-		}, func() { closeCursor(input); build.Close() }}
+		build := newBuildSide(ctx.exec, otherAsync, func() Cursor { return otherSide(ctx) })
+		return newVecSemiJoin(openInput(ctx, keepSide, keepAsync), build, o, hashable, keepVar, otherVar, ctx.opts.window())
 	}, nil
 }
 
@@ -828,13 +608,8 @@ func stampElem(e *Elem, v xmas.Var) *Elem {
 	return e.WithProv(&Provenance{Var: v, Fixed: []Fixation{{Var: v, ID: e.ID}}})
 }
 
-// childList resolves a ChildSpec against a tuple into a lazy element list.
-func childList(spec xmas.ChildSpec, t Tuple) *LazyList[*Elem] {
-	return childListOf(spec, t.MustGet(spec.V))
-}
-
-// childListOf resolves a ChildSpec against the bound value directly (the
-// vectorized operators hold values columnarly, not as tuples).
+// childListOf resolves a ChildSpec against the bound value into a lazy
+// element list.
 func childListOf(spec xmas.ChildSpec, val Value) *LazyList[*Elem] {
 	if spec.Wrap {
 		if nv, ok := val.(NodeVal); ok {
@@ -868,28 +643,7 @@ func compileCrElt(o *xmas.CrElt, cat *source.Catalog) (compiledOp, error) {
 	}
 	schema := o.Schema()
 	return func(ctx *Ctx) Cursor {
-		input := in(ctx)
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecCrElt(input, o, schema, capw)
-		}
-		return cursorFunc(func() (Tuple, bool, error) {
-			t, ok, err := input.Next()
-			if err != nil || !ok {
-				return Tuple{}, false, err
-			}
-			args := make([]string, len(o.GroupVars))
-			fixed := make([]Fixation, len(o.GroupVars))
-			for i, g := range o.GroupVars {
-				key := orderKey(t.MustGet(g))
-				args[i] = key
-				fixed[i] = Fixation{Var: g, ID: key}
-			}
-			id := skolemID(o.Out, o.SkolemFn, args)
-			kids := childList(o.Children, t)
-			e := NewElem(id, o.Label, kids)
-			e.Prov = &Provenance{Var: o.Out, Fixed: fixed}
-			return t.Extend(schema, NodeVal{E: e}), true, nil
-		})
+		return newVecCrElt(in(ctx), o, schema, ctx.opts.window())
 	}, nil
 }
 
@@ -903,18 +657,7 @@ func compileCat(o *xmas.Cat, cat *source.Catalog) (compiledOp, error) {
 	return func(ctx *Ctx) Cursor {
 		// cat itself is cheap; exchanging its input pipelines the upstream
 		// source scan with downstream consumption.
-		input := openInput(ctx, in, async)
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecCat(input, o, schema, capw)
-		}
-		return cursorFunc(func() (Tuple, bool, error) {
-			t, ok, err := input.Next()
-			if err != nil || !ok {
-				return Tuple{}, false, err
-			}
-			l := Concat(childList(o.X, t), childList(o.Y, t))
-			return t.Extend(schema, ListVal{L: l}), true, nil
-		})
+		return newVecCat(openInput(ctx, in, async), o, schema, ctx.opts.window())
 	}, nil
 }
 
@@ -1083,27 +826,13 @@ func compileApply(o *xmas.Apply, cat *source.Catalog) (compiledOp, error) {
 	collectVar := td.V
 	schema := o.Schema()
 	return func(ctx *Ctx) Cursor {
-		input := in(ctx)
-		if capw := ctx.batchCap(); capw > 0 {
-			return newVecApply(ctx, input, o, nestedIn, collectVar, schema, capw)
-		}
-		return cursorFunc(func() (Tuple, bool, error) {
-			t, ok, err := input.Next()
-			if err != nil || !ok {
-				return Tuple{}, false, err
-			}
-			part, isSet := t.MustGet(o.InpVar).(SetVal)
-			if !isSet {
-				return Tuple{}, false, fmt.Errorf("engine: apply input %s is not a set", o.InpVar)
-			}
-			return t.Extend(schema, ListVal{L: applyList(ctx, o.InpVar, part, nestedIn, collectVar)}), true, nil
-		})
+		return newVecApply(ctx, in(ctx), o, nestedIn, collectVar, schema, ctx.opts.window())
 	}, nil
 }
 
 // applyList evaluates the nested plan over one partition and collects the
-// bindings of the collect variable into a lazy, id-deduplicated element list
-// — the body shared by the scalar and vectorized apply.
+// bindings of the collect variable into a lazy, id-deduplicated element
+// list.
 func applyList(ctx *Ctx, inpVar xmas.Var, part SetVal, nestedIn compiledOp, collectVar xmas.Var) *LazyList[*Elem] {
 	nctx := ctx.withNested(inpVar, part)
 	var cur Cursor

@@ -190,12 +190,12 @@ func TestDrainHandleCancel(t *testing.T) {
 	_, tuples := testTuples(1000)
 	src := &blockingCursor{tuples: tuples, delay: time.Millisecond}
 	opened := make(chan struct{})
-	h := newBuildSide(ex, true, func() Cursor { close(opened); return src }, drain)
+	h := newBuildSide(ex, true, func() Cursor { close(opened); return src })
 	got := make(chan error, 1)
 	go func() {
-		rows, err := h.get()
+		b, err := h.get()
 		if err == nil {
-			err = fmt.Errorf("drain finished with %d rows before the cancel", len(rows))
+			err = fmt.Errorf("drain finished with %d rows before the cancel", b.Len())
 		}
 		got <- err
 	}()

@@ -89,7 +89,7 @@ func (m *Metrics) String() string {
 
 // countingCursor increments a counter per delivered tuple. It forwards the
 // batch face too (counting whole chunks), so metrics never force the
-// vectorized path back to per-tuple pulls.
+// columnar operators back to per-tuple pulls.
 type countingCursor struct {
 	in Cursor
 	c  *atomic.Int64

@@ -7,17 +7,16 @@ import (
 )
 
 // Intra-query parallelism is a policy for how a join's inputs are opened,
-// not a separate operator set. The scalar and vectorized joins, the
-// semi-join and cat open a source-touching probe or kept input through
-// openInput (an exchange when a producer slot is free) and take their build
-// or filtering input from a buildSide (drained on a producer when a slot is
-// free). Both fall back to inline evaluation when no slot is free, so
-// Parallelism <= 1 runs exactly the sequential code. The build starts at the
-// first probe row, which keeps the empty-probe laziness of demand-driven
-// evaluation; output order is the sequential order (probe order, build rows
-// in drain order), so answers are byte-identical at every parallelism level.
-// A join over two federated sources thus pays max() of their latencies
-// instead of their sum, with either execution path.
+// not a separate operator set. The joins, the semi-join and cat open a
+// source-touching probe or kept input through openInput (an exchange when a
+// producer slot is free) and take their build or filtering input from a
+// buildSide (drained on a producer when a slot is free). Both fall back to
+// inline evaluation when no slot is free, so Parallelism <= 1 runs exactly
+// the sequential code. The build starts at the first probe batch, which
+// keeps the empty-probe laziness of demand-driven evaluation; output order is
+// the sequential order (probe order, build rows in drain order), so answers
+// are byte-identical at every parallelism level. A join over two federated
+// sources thus pays max() of their latencies instead of their sum.
 
 // asyncSide reports whether a join input is worth running on a producer
 // goroutine: it must actually touch a source (otherwise there is no latency
@@ -38,17 +37,14 @@ func openInput(ctx *Ctx, op compiledOp, async bool) Cursor {
 }
 
 // buildSide is a join's build (or a semi-join's filtering) input, drained at
-// most once. The first get opens and drains it — on a producer goroutine
-// when the side is async and a slot is free, inline on the caller otherwise
-// — and blocks until the drain is done. drain fixes the materialized form:
-// tuples for the scalar joins, one columnar batch for the vectorized ones.
-// Close may race with get: it cancels an in-flight drain and joins it, and
-// is idempotent.
-type buildSide[T any] struct {
+// most once into one columnar batch. The first get opens and drains it — on
+// a producer goroutine when the side is async and a slot is free, inline on
+// the caller otherwise — and blocks until the drain is done. Close may race
+// with get: it cancels an in-flight drain and joins it, and is idempotent.
+type buildSide struct {
 	ex    *execState
 	async bool
 	open  func() Cursor
-	drain func(Cursor) (T, error)
 
 	mu      sync.Mutex
 	started bool
@@ -56,21 +52,20 @@ type buildSide[T any] struct {
 	stop    chan struct{} // non-nil once a producer runs the drain
 	done    chan struct{}
 
-	val T
+	val Batch
 	err error
 }
 
-func newBuildSide[T any](ex *execState, async bool, open func() Cursor, drain func(Cursor) (T, error)) *buildSide[T] {
-	return &buildSide[T]{ex: ex, async: async, open: open, drain: drain}
+func newBuildSide(ex *execState, async bool, open func() Cursor) *buildSide {
+	return &buildSide{ex: ex, async: async, open: open}
 }
 
 // get starts the drain on first call and returns its result.
-func (b *buildSide[T]) get() (T, error) {
+func (b *buildSide) get() (Batch, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		var zero T
-		return zero, errExecClosed
+		return Batch{}, errExecClosed
 	}
 	if b.started {
 		done := b.done
@@ -83,7 +78,7 @@ func (b *buildSide[T]) get() (T, error) {
 	b.started = true
 	if !b.async || !b.ex.tryAcquire() {
 		b.mu.Unlock()
-		b.val, b.err = b.drain(b.open())
+		b.val, b.err = drainBatch(b.open())
 		return b.val, b.err
 	}
 	b.stop, b.done = make(chan struct{}), make(chan struct{})
@@ -93,7 +88,7 @@ func (b *buildSide[T]) get() (T, error) {
 		defer b.ex.release()
 		cur := b.open()
 		defer closeCursor(cur)
-		b.val, b.err = b.drain(&stopCursor{in: batchInput{in: cur}, stop: b.stop})
+		b.val, b.err = drainBatch(&stopCursor{in: batchInput{in: cur}, stop: b.stop})
 	}()
 	b.mu.Unlock()
 	b.ex.track(b)
@@ -102,7 +97,7 @@ func (b *buildSide[T]) get() (T, error) {
 }
 
 // Close cancels an in-flight drain and joins its producer.
-func (b *buildSide[T]) Close() {
+func (b *buildSide) Close() {
 	b.mu.Lock()
 	if !b.closed && b.stop != nil {
 		close(b.stop)

@@ -22,9 +22,9 @@ import (
 
 var parLevels = []int{0, 1, 2, 3, 8}
 
-// batchLevels runs each parallel check on the scalar and the vectorized
-// path: parallelism is a policy for how join inputs drain, so it must hold
-// on both.
+// batchLevels runs each parallel check at the browsing window (one row) and
+// at a wide one: parallelism is a policy for how join inputs drain, so it
+// must hold at both.
 var batchLevels = []int{1, 64}
 
 func materializeAt(t *testing.T, plan *translate.Result, cat *source.Catalog, opts engine.Options) string {

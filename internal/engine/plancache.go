@@ -54,9 +54,11 @@ func (pc *PlanCache) CompileWith(plan xmas.Op, cat *source.Catalog, opts Options
 }
 
 // optsKey fingerprints the execution options a compiled program bakes in.
+// BatchExec enters as its window, so 0, 1 and negative values share a
+// program.
 func optsKey(o Options) string {
 	return fmt.Sprintf("%t|%d|%t|%d|%d|%d|%t|%t", o.PartialResults, o.BatchSize, o.Prefetch,
-		o.Parallelism, o.ExchangeBuffer, o.BatchExec, o.PathIndex, o.CostOpt)
+		o.Parallelism, o.ExchangeBuffer, o.window(), o.PathIndex, o.CostOpt)
 }
 
 // withRoot rebinds the cached program to the root id of the requesting

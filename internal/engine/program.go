@@ -40,11 +40,11 @@ type Options struct {
 	// DefaultExchangeBuffer; the knob matters most when a join's probe side
 	// should keep streaming while its build side drains.
 	ExchangeBuffer int
-	// BatchExec caps the columnar batch size of the vectorized operator
-	// path: select/join/cat/crElt/apply/getD move bindings in chunks of up
-	// to this many rows, growing 1→cap adaptively so the first answer still
-	// ships alone. 0 or 1 disables vectorization and reproduces the scalar
-	// demand-driven evaluation exactly.
+	// BatchExec caps the columnar batch window: select, join, semi-join,
+	// cat, crElt, apply and getD move bindings in chunks of up to this many
+	// rows, growing 1→cap adaptively so the first answer still ships alone.
+	// 0, 1 and negative values all mean a window of one row. It only sizes
+	// the window: the operators are the same at every value.
 	BatchExec int
 	// PathIndex routes getD descendant steps over local XML sources through
 	// the catalog's dataguide label-path index (built lazily per document)

@@ -121,15 +121,6 @@ type cursorFunc func() (Tuple, bool, error)
 
 func (f cursorFunc) Next() (Tuple, bool, error) { return f() }
 
-// closingCursor is a cursorFunc whose Close cancels and joins the producers
-// its inputs started (joins over exchanged or async-drained inputs).
-type closingCursor struct {
-	cursorFunc
-	close func()
-}
-
-func (c closingCursor) Close() { c.close() }
-
 // emptyCursor yields nothing.
 type emptyCursor struct{}
 
@@ -150,8 +141,8 @@ func (s *sliceCursor) Next() (Tuple, bool, error) {
 	return t, true, nil
 }
 
-// drain materializes a cursor (used by blocking operators: stateful group-by,
-// sorts, join build sides).
+// drain materializes a cursor (used by the blocking operators: stateful
+// group-by and sort).
 func drain(c Cursor) ([]Tuple, error) {
 	var out []Tuple
 	for {

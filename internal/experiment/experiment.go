@@ -362,30 +362,28 @@ RETURN $R`
 // ---- E19: vectorized execution, path index, binary wire codec ----
 
 // VectorResult is E19's machine-readable output (BENCH_vector.json): the
-// CPU-bound microbench times for the columnar batch path, the dataguide
-// index, and the bytes-on-wire comparison between the JSON and binary
-// codecs.
+// CPU-bound θ-join and unfused select-over-product times at window 64, the
+// dataguide index against the label walk, and the bytes-on-wire comparison
+// between the JSON and binary codecs.
 type VectorResult struct {
-	JoinScalarMs   float64 `json:"join_scalar_ms"`
-	JoinVecMs      float64 `json:"join_vec_ms"`
-	JoinSpeedup    float64 `json:"join_speedup"`
-	SelectScalarMs float64 `json:"select_scalar_ms"`
-	SelectVecMs    float64 `json:"select_vec_ms"`
-	SelectSpeedup  float64 `json:"select_speedup"`
-	GetDWalkMs     float64 `json:"getd_walk_ms"`
-	GetDIndexMs    float64 `json:"getd_index_ms"`
-	GetDSpeedup    float64 `json:"getd_speedup"`
-	WireJSONBytes  int64   `json:"wire_json_bytes"`
-	WireBinBytes   int64   `json:"wire_binary_bytes"`
-	WireBinRatio   float64 `json:"wire_binary_over_json"`
+	JoinVecMs float64 `json:"join_vec_ms"` // all runs
+	// SelectUnfusedMs is one run of the select-over-product plan with fusion
+	// blocked by a project.
+	SelectUnfusedMs float64 `json:"select_unfused_ms"`
+	GetDWalkMs      float64 `json:"getd_walk_ms"`
+	GetDIndexMs     float64 `json:"getd_index_ms"`
+	GetDSpeedup     float64 `json:"getd_speedup"`
+	WireJSONBytes   int64   `json:"wire_json_bytes"`
+	WireBinBytes    int64   `json:"wire_binary_bytes"`
+	WireBinRatio    float64 `json:"wire_binary_over_json"`
 
 	// WindowSweep records the BatchExec window-cap sweep over the mediator
 	// workloads: the CPU-bound join microbench and a full E10-style query
 	// over the view per cap, plus the tuples a browse-1 ships (navigation
-	// sessions always run tuple-at-a-time, so this must not grow with the
-	// cap). BestWindow is the sweet spot by combined time among the
-	// vectorized caps; DefaultBatchExec is the window mix.Config bakes in
-	// as its zero-value default.
+	// sessions always run at a window of one row, so this must not grow
+	// with the cap). BestWindow is the sweet spot by combined time;
+	// DefaultBatchExec is the window mix.Config bakes in as its zero-value
+	// default.
 	WindowSweep      []WindowPoint `json:"window_sweep,omitempty"`
 	BestWindow       int           `json:"best_window,omitempty"`
 	DefaultBatchExec int           `json:"default_batch_exec,omitempty"`
@@ -399,31 +397,38 @@ type WindowPoint struct {
 	BrowseShipped int64   `json:"browse1_shipped"`
 }
 
-// Check gates CI on the headline claims: the batch path must beat the
-// tuple-at-a-time interpreter by at least 5x on the CPU-bound join
-// microbench, and the negotiated binary codec must move fewer bytes than
+// Check gates CI on the headline claims: the CPU-bound join must cost about
+// the same at every window cap, a browse-1 must ship the same tuples at
+// every cap, and the negotiated binary codec must move fewer bytes than
 // JSON for the same session.
 func (r VectorResult) Check() error {
-	if r.JoinSpeedup < 5 {
-		return fmt.Errorf("vector check: join speedup %.2fx < 5x (scalar %.1fms, vec %.1fms)",
-			r.JoinSpeedup, r.JoinScalarMs, r.JoinVecMs)
-	}
-	// The select-over-product bench is gather-bound, not predicate-bound, so
-	// its ratio sits near 1x; the gate only catches a catastrophic batch-path
-	// regression without flaking on timing noise.
-	if r.SelectSpeedup < 0.7 {
-		return fmt.Errorf("vector check: vectorized select regressed vs scalar (%.1fms vs %.1fms)",
-			r.SelectVecMs, r.SelectScalarMs)
-	}
 	if r.WireBinBytes >= r.WireJSONBytes {
 		return fmt.Errorf("vector check: binary codec moved %d bytes, JSON %d", r.WireBinBytes, r.WireJSONBytes)
 	}
-	// Vectorization is on by default, so a browse-1 must ship exactly what
-	// the scalar interpreter ships at every window cap — navigation
-	// sessions execute tuple-at-a-time by design, and this gate is the
+	// Every cap runs the same columnar operators, so a cap whose join takes
+	// over twice the window-64 time pays a per-row cost the window was not
+	// meant to add — at window 1, the browsing window, that is what a
+	// per-pair interpreter looks like.
+	w64 := -1.0
+	for _, p := range r.WindowSweep {
+		if p.Window == 64 {
+			w64 = p.JoinMs
+		}
+	}
+	if w64 < 0 {
+		return fmt.Errorf("vector check: window sweep has no window-64 point")
+	}
+	for _, p := range r.WindowSweep {
+		if p.JoinMs > 2*w64 {
+			return fmt.Errorf("vector check: join took %.1fms at window %d, over 2x the %.1fms at window 64",
+				p.JoinMs, p.Window, w64)
+		}
+	}
+	// A browse-1 must ship the same tuples at every window cap: navigation
+	// sessions run at a window of one row by design, and this gate is the
 	// regression fence on that contract.
 	for _, p := range r.WindowSweep {
-		if len(r.WindowSweep) > 0 && p.BrowseShipped != r.WindowSweep[0].BrowseShipped {
+		if p.BrowseShipped != r.WindowSweep[0].BrowseShipped {
 			return fmt.Errorf("vector check: browse-1 shipped %d tuples at window %d, %d at window %d — batch overshoot",
 				p.BrowseShipped, p.Window, r.WindowSweep[0].BrowseShipped, r.WindowSweep[0].Window)
 		}
@@ -483,6 +488,18 @@ func timePlan(plan xmas.Op, cat *source.Catalog, opts engine.Options, runs int) 
 	return time.Since(start), out
 }
 
+// fastestPlan is timePlan repeated three times, keeping the fastest total:
+// the window-sweep gate compares timings against each other, and one
+// repetition's host noise must not decide it.
+func fastestPlan(plan xmas.Op, cat *source.Catalog, opts engine.Options, runs int) (time.Duration, string) {
+	best, out := timePlan(plan, cat, opts, runs)
+	for i := 1; i < 3; i++ {
+		d, _ := timePlan(plan, cat, opts, runs)
+		best = min(best, d)
+	}
+	return best, out
+}
+
 // srcOverPath is mkSrc → getD: bind every node reached by path from the
 // document's top-level elements (mkSrc ranges over the root's children, so
 // the path starts at their labels).
@@ -529,22 +546,20 @@ func wireSessionBytes(nCustomers int, binaryCodec bool) int64 {
 	return st.BytesSent + st.BytesRecv
 }
 
-// Vectorized is experiment E19: the columnar batch path vs the
-// tuple-at-a-time interpreter on CPU-bound local operators, the dataguide
-// path index vs the label walk, and the binary wire codec vs JSON on a
-// deep batched view walk.
+// Vectorized is experiment E19: the columnar operators on CPU-bound local
+// plans across window caps, the dataguide path index vs the label walk, and
+// the binary wire codec vs JSON on a deep batched view walk.
 func Vectorized(nJoin, runs int) (Table, VectorResult) {
 	var r VectorResult
 	t := Table{
 		Title: "E19 vectorized execution & wire codec",
-		Note: "batch path and path index must answer byte-identically to the scalar walk;\n" +
+		Note: "every window cap and the path index must answer byte-identically;\n" +
 			"the binary codec must move fewer bytes than JSON for the same session",
 		Header: []string{"microbench", "baseline", "optimized", "speedup"},
 	}
 
-	// CPU-bound NL join: every (left, right) pair is compared; the scalar
-	// interpreter re-parses both comparands per pair, the batch path
-	// pre-resolves each column once.
+	// CPU-bound NL join: every (left, right) pair is compared; the join
+	// pre-resolves the right column once and compares atoms per pair.
 	cat := source.NewCatalog()
 	cat.AddXMLDoc("&vl", numList("&vl", nJoin, func(i int) int { return i }))
 	cat.AddXMLDoc("&vr", numList("&vr", nJoin, func(i int) int {
@@ -563,48 +578,38 @@ func Vectorized(nJoin, runs int) (Table, VectorResult) {
 		V: "$lv",
 	}
 	must(xmas.Verify(joinPlan))
-	scalarDur, scalarOut := timePlan(joinPlan, cat, engine.Options{}, runs)
-	vecDur, vecOut := timePlan(joinPlan, cat, engine.Options{BatchExec: 64}, runs)
-	if scalarOut != vecOut {
-		panic("experiment: vectorized join diverged from scalar")
-	}
-	r.JoinScalarMs = msF(scalarDur)
-	r.JoinVecMs = msF(vecDur)
-	r.JoinSpeedup = ratio(scalarDur, vecDur)
-	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("NL join %dx%d", nJoin, nJoin),
-		ms(scalarDur) + "ms", ms(vecDur) + "ms", speedup(r.JoinSpeedup),
-	})
+	joinDur, joinOut := timePlan(joinPlan, cat, engine.Options{BatchExec: 64}, runs)
+	r.JoinVecMs = msF(joinDur)
 
-	// CPU-bound select: the same predicate evaluated over the cross product
-	// (a condition-less join), so selection work — not tuple materialization
-	// — dominates. The scalar interpreter merges and re-parses per pair; the
-	// batch path compares pre-resolved columns.
-	selPlan := &xmas.TD{
-		In: &xmas.Select{
-			In: &xmas.Join{
-				L: srcOverPath("&vl", "$L", "$lv", "item", "v"),
-				R: srcOverPath("&vr", "$R", "$rv", "item", "v"),
-			},
-			Cond: joinCond,
-		},
-		V: "$lv",
+	// The same predicate as a select over the cross product (a
+	// condition-less join). Fusion makes it the θ-join above, so it must
+	// answer the same; a project between the select and the product blocks
+	// fusion, and timing that plan prices what fusion saves: every pair
+	// merged and shipped through the select.
+	product := &xmas.Join{
+		L: srcOverPath("&vl", "$L", "$lv", "item", "v"),
+		R: srcOverPath("&vr", "$R", "$rv", "item", "v"),
 	}
-	must(xmas.Verify(selPlan))
-	selScalar, selScalarOut := timePlan(selPlan, cat, engine.Options{}, runs)
-	selVec, selVecOut := timePlan(selPlan, cat, engine.Options{BatchExec: 64}, runs)
-	if selScalarOut != selVecOut {
-		panic("experiment: vectorized select diverged from scalar")
+	fusedPlan := &xmas.TD{In: &xmas.Select{In: product, Cond: joinCond}, V: "$lv"}
+	must(xmas.Verify(fusedPlan))
+	if _, out := timePlan(fusedPlan, cat, engine.Options{BatchExec: 64}, 1); out != joinOut {
+		panic("experiment: fused select-over-product diverged from the join")
 	}
-	if selScalarOut != scalarOut {
-		panic("experiment: select-over-product diverged from the join")
+	unfusedPlan := &xmas.TD{
+		In: &xmas.Select{In: &xmas.Project{In: product, Vars: product.Schema()}, Cond: joinCond},
+		V:  "$lv",
 	}
-	r.SelectScalarMs = msF(selScalar)
-	r.SelectVecMs = msF(selVec)
-	r.SelectSpeedup = ratio(selScalar, selVec)
+	must(xmas.Verify(unfusedPlan))
+	// One run only: the unfused plan is two orders of magnitude slower.
+	selDur, selOut := timePlan(unfusedPlan, cat, engine.Options{BatchExec: 64}, 1)
+	if selOut != joinOut {
+		panic("experiment: unfused select-over-product diverged from the join")
+	}
+	r.SelectUnfusedMs = msF(selDur)
+	joinRun := joinDur / time.Duration(runs)
 	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("select over %d pairs", nJoin*nJoin),
-		ms(selScalar) + "ms", ms(selVec) + "ms", speedup(r.SelectSpeedup),
+		fmt.Sprintf("select over %d pairs, one run: unfused vs fused", nJoin*nJoin),
+		ms(selDur) + "ms unfused", ms(joinRun) + "ms fused (θ-join)", speedup(ratio(selDur, joinRun)),
 	})
 
 	// getD over a bushy document: the walk explores every label-matching
@@ -644,17 +649,16 @@ func Vectorized(nJoin, runs int) (Table, VectorResult) {
 
 	// BatchExec window-cap sweep over the mediator workloads: the CPU-bound
 	// join microbench and a full E10-style query over the Q1 view, per cap,
-	// plus the tuples a browse-1 ships. Window 1 is the scalar interpreter.
-	// The browse column must not move with the cap: navigation sessions
-	// (Open) always execute tuple-at-a-time — that design is what made
-	// flipping vectorized execution on by default safe, and this sweep is
-	// the regression gate on it.
+	// plus the tuples a browse-1 ships. The browse column must not move with
+	// the cap: navigation sessions (Open) always run at a window of one row
+	// — that design is what made a wide default window safe, and this sweep
+	// is the regression gate on it.
 	const sweepN, sweepOrders = 300, 5
 	const sweepQ = `FOR $R IN document(rootv)/CustRec RETURN $R`
 	for _, w := range []int{1, 8, 16, 32, 64, 128, 256} {
-		jd, jOut := timePlan(joinPlan, cat, engine.Options{BatchExec: w}, runs)
-		if jOut != scalarOut {
-			panic("experiment: window-sweep join diverged from scalar")
+		jd, jOut := fastestPlan(joinPlan, cat, engine.Options{BatchExec: w}, runs)
+		if jOut != joinOut {
+			panic("experiment: window-sweep join diverged from window 64")
 		}
 		medV := mediatorOver(sweepN, sweepOrders, mix.Config{BatchExec: w})
 		start := time.Now()
@@ -683,8 +687,8 @@ func Vectorized(nJoin, runs int) (Table, VectorResult) {
 			fmt.Sprintf("browse-1 ships %d", shipped),
 		})
 	}
-	best := r.WindowSweep[1]
-	for _, p := range r.WindowSweep[1:] {
+	best := r.WindowSweep[0]
+	for _, p := range r.WindowSweep {
 		if p.JoinMs+p.ViewMs < best.JoinMs+best.ViewMs {
 			best = p
 		}

@@ -12,12 +12,13 @@ import (
 )
 
 // TestRandomizedPlanEquivalenceVectorized replays the generator corpus with
-// the vectorized execution path and the dataguide path index switched on, at
-// several batch-window caps (including 2 and 3, which force mid-batch
-// boundaries everywhere), alone and combined with exchange parallelism.
-// Every answer must be byte-identical to the scalar walk-based baseline — the
-// whole contract of the batch and parallel paths: they may only change how
-// fast bindings move, never which bindings move or their order.
+// wider batch windows and the dataguide path index switched on, at several
+// window caps (including 2 and 3, which force mid-batch boundaries
+// everywhere), alone and combined with exchange parallelism. Every answer
+// must be byte-identical to the baseline at the default options — a window
+// of one row, walking paths, sequential — the whole contract of the window
+// and parallel knobs: they may only change how fast bindings move, never
+// which bindings move or their order.
 func TestRandomizedPlanEquivalenceVectorized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20020208))
 	const trials = 150

@@ -90,15 +90,15 @@ type Config struct {
 	// making their keys unreachable. 0 (the default) disables result
 	// caching: every pushed-down query ships to its source.
 	SourceCache int
-	// BatchExec caps the engine's columnar batch window: CPU-bound operators
-	// (select, join, cat, apply, getD) move bindings in chunks of up to this
-	// many rows, with an adaptive window that starts at one row so
-	// first-answer latency stays lazy. 0 (the default) uses
+	// BatchExec caps the engine's columnar batch window: the operators
+	// (select, join, semi-join, cat, crElt, apply, getD) move bindings in
+	// chunks of up to this many rows, with an adaptive window that starts at
+	// one row so first-answer latency stays lazy. 0 (the default) uses
 	// DefaultBatchExec for the full-answer entry points (Query, QueryFrom);
-	// navigation sessions started with Open always run tuple-at-a-time so
-	// browsing ships strictly on demand. 1 or negative forces the pure
-	// tuple-at-a-time interpreter everywhere. Answers are byte-identical
-	// either way.
+	// navigation sessions started with Open always run at a window of one
+	// row so browsing ships strictly on demand. 1 or negative sets a window
+	// of one row everywhere. It only sizes the window — the operators are
+	// the same at every value — and answers are byte-identical either way.
 	BatchExec int
 	// PathIndex builds a dataguide-style label-path index lazily over each
 	// registered XML source, turning getD descendant steps from subtree
@@ -119,9 +119,9 @@ type Config struct {
 
 // DefaultBatchExec is the columnar batch window used when Config.BatchExec
 // is zero: the sweet spot of the E19 window sweep (BENCH_vector.json) —
-// larger windows stopped paying on the mediator workloads, smaller ones
-// gave back batch-path wins. Browse workloads are unaffected by the
-// default: navigation sessions (Open) always execute tuple-at-a-time.
+// larger windows stopped paying on the mediator workloads. Browse workloads
+// are unaffected by the default: navigation sessions (Open) always run at a
+// window of one row.
 const DefaultBatchExec = 64
 
 // Mediator integrates sources, maintains views, and serves QDOM documents.
@@ -577,12 +577,12 @@ func (v *View) originPlan() *compose.OriginPlan {
 // Open starts an execution of a registered view itself, returning its
 // virtual document (clients usually navigate here first, then refine).
 //
-// Navigation sessions always execute tuple-at-a-time, regardless of
+// Navigation sessions always run at a window of one row, regardless of
 // Config.BatchExec: a client browsing a view pays source shipping strictly
-// on demand, and the vectorized window's read-ahead (it doubles 1→cap as
-// the consumer drains) would ship rows the client never looks at. The
-// window applies to the full-answer entry points (Query, QueryFrom), where
-// every row is demanded anyway.
+// on demand, and a wider window's read-ahead (it doubles 1→cap as the
+// consumer drains) would ship rows the client never looks at. The window
+// applies to the full-answer entry points (Query, QueryFrom), where every
+// row is demanded anyway.
 func (m *Mediator) Open(viewName string) (*qdom.Document, error) {
 	v, ok := m.views[viewName]
 	if !ok {
@@ -591,8 +591,8 @@ func (m *Mediator) Open(viewName string) (*qdom.Document, error) {
 	return m.run(v.ComposePlan, v.ExecPlan, v.Tags, m.navOpts())
 }
 
-// navOpts is engineOpts with the vectorized window disabled — the execution
-// options for navigation sessions (Open), which ship on demand.
+// navOpts is engineOpts with a window of one row — the execution options
+// for navigation sessions (Open), which ship on demand.
 func (m *Mediator) navOpts() engine.Options {
 	o := m.engineOpts()
 	o.BatchExec = 1
@@ -601,11 +601,8 @@ func (m *Mediator) navOpts() engine.Options {
 
 func (m *Mediator) engineOpts() engine.Options {
 	batchExec := m.cfg.BatchExec
-	switch {
-	case batchExec == 0:
+	if batchExec == 0 {
 		batchExec = DefaultBatchExec
-	case batchExec < 0:
-		batchExec = 1 // engine semantics: 0/1 = tuple-at-a-time
 	}
 	return engine.Options{
 		PartialResults: m.cfg.PartialResults,
